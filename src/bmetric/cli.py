@@ -1,8 +1,8 @@
 """Command-line front end: reproducible analysis runs with JSON reports.
 
 Exit codes: 0 = certified success, 1 = usage/structural/precondition error,
-2 = a mathematical claim failed on this instance (a falsification finding,
-kept distinct from ordinary errors on purpose).
+2 = a certified inequality failed on this instance (a falsification finding,
+kept distinct from ordinary errors on purpose).  An internal error is never 2.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+from .certify import CertificateViolation, first_violation
 from .constants import constants_report
 from .doubling import (
     doubling_constant,
@@ -44,10 +43,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_ERROR)
-
-
-class ViolationError(Exception):
-    """A certified mathematical claim failed on this instance."""
 
 
 def _read_space(path: str) -> SemimetricSpace:
@@ -164,60 +159,49 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _verify_report(args, claim: str, holds: bool, detail: dict) -> int:
-    _emit(args, {"manifest": _manifest(args, "verify", {"theorem": claim}),
-                 "report": {"theorem": claim, "holds": holds, **detail}})
-    return EXIT_OK if holds else EXIT_VIOLATION
+def _sandwiched(D, d, hi) -> bool:
+    """D <= d <= hi * D on every pair of distinct points."""
+    return first_violation(D, d) is None and first_violation(d, hi * D) is None
 
 
-def cmd_verify(args) -> int:
-    space = _read_space(args.in_path)
+def _check(args, space: SemimetricSpace) -> tuple[bool, dict]:
+    """Run the claim named by --theorem: (holds, report fields)."""
     claim = args.theorem
-    n = space.n
-    mask = ~np.eye(n, dtype=bool)
     if claim == "2.1":
         cert = frink_verify(space)
-        return _verify_report(args, claim, cert.holds, cert.to_dict())
+        return cert.holds, cert.to_dict()
     if claim == "2.2":
         eps = args.eps if args.eps is not None else 1.0
         rem = epsilon_remetrize(space, eps)
-        powered = space.dist ** rem.p
-        holds = bool(
-            (rem.D[mask] <= powered[mask]).all()
-            and (powered[mask] <= (1.0 + eps) * rem.D[mask] * (1.0 + 1e-12)).all()
-        )
-        return _verify_report(args, claim, holds,
-                              {"p": rem.p, "eps": eps, "sandwich_hi": rem.sandwich_hi})
+        holds = _sandwiched(rem.D, space.dist ** rem.p, 1.0 + eps)
+        return holds, {"p": rem.p, "eps": eps, "sandwich_hi": rem.sandwich_hi}
     if claim == "3.3":
         check = snowflake_doubling_check(space, args.p, args.exact_max)
-        return _verify_report(args, claim, check.holds, check.to_dict())
+        return check.holds, check.to_dict()
     if claim == "3.4":
         rem = chain_metric(space)
         alpha = max(1.0, rem.sandwich_hi)
         check = sandwich_doubling_check(space, space.with_dist(rem.D), alpha, args.exact_max)
-        return _verify_report(args, claim, check.holds, check.to_dict() | {"alpha": alpha})
-    if claim == "3.5":
-        try:
-            result = bmetric_assouad_pipeline(space, args.alpha)
-        except AssertionError as exc:
-            return _verify_report(args, claim, False, {"detail": str(exc)})
-        return _verify_report(args, claim, True, result.to_dict())
-    if claim == "4.1":
-        try:
-            result = bmetric_assouad_pipeline(space, args.alpha)
-        except AssertionError as exc:
-            return _verify_report(args, claim, False, {"detail": str(exc)})
-        rep = converse_bound(space, result.embedding.pairwise_norms(), result.alpha_prime)
-        return _verify_report(args, claim, rep.holds, rep.to_dict())
+        return check.holds, check.to_dict() | {"alpha": alpha}
     if claim == "4.3":
         rem = chain_metric(space)
-        c = rem.sandwich_hi
-        holds = bool(
-            (rem.D[mask] <= space.dist[mask]).all()
-            and (space.dist[mask] <= c * rem.D[mask] * (1.0 + 1e-12)).all()
-        )
-        return _verify_report(args, claim, holds, {"c": c})
-    raise StructuralError(f"unknown claim {claim}")
+        return _sandwiched(rem.D, space.dist, rem.sandwich_hi), {"c": rem.sandwich_hi}
+    result = bmetric_assouad_pipeline(space, args.alpha)  # 3.5 and 4.1
+    if claim == "3.5":
+        return True, result.to_dict()
+    rep = converse_bound(space, result.embedding.pairwise_norms(), result.alpha_prime)
+    return rep.holds, rep.to_dict()
+
+
+def cmd_verify(args) -> int:
+    space = _read_space(args.in_path)
+    try:
+        holds, detail = _check(args, space)
+    except CertificateViolation as exc:
+        holds, detail = False, {"detail": str(exc)}
+    _emit(args, {"manifest": _manifest(args, "verify", {"theorem": args.theorem}),
+                 "report": {"theorem": args.theorem, "holds": holds, **detail}})
+    return EXIT_OK if holds else EXIT_VIOLATION
 
 
 def build_parser() -> _Parser:
@@ -227,8 +211,6 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--quiet", action="store_true")
 
     g = sub.add_parser("generate", help="write a generated space to a file")
@@ -242,6 +224,8 @@ def build_parser() -> _Parser:
     g.add_argument("--p", type=float)
     g.add_argument("--dim", type=int)
     g.add_argument("--space-out", required=True, help="path for the generated space file")
+    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--format", choices=("json", "csv"), default="json")
     common(g)
     g.set_defaults(func=cmd_generate)
 
@@ -307,10 +291,7 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (DegenerateEmbeddingError, AssertionError) as exc:
-        print(f"falsification finding: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except ViolationError as exc:
+    except (CertificateViolation, DegenerateEmbeddingError) as exc:
         print(f"falsification finding: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

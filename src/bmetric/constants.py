@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import within
 from .shortest_path import floyd_warshall, reconstruct_chain
 from .spaces import SemimetricSpace
-
-METRIC_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def constants_report(space: SemimetricSpace) -> ConstantsReport:
     return ConstantsReport(
         relaxation_K=K,
         polygonal_c=c,
-        is_metric=K <= 1.0 + METRIC_TOL,
+        is_metric=within(K, 1.0),
         witness_triple=tuple(space.labels[i] for i in triple) if triple else None,
         witness_chain=tuple(space.labels[i] for i in chain),
     )

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import first_violation
 from .setcover import exact_min_cover, greedy_cover
 from .spaces import SemimetricSpace, snowflake
 
 DOUBLING_EXACT_LIMIT = 15
 WEAK_EXACT_LIMIT = 12
-SANDWICH_RTOL = 1e-9
 
 
 class SandwichError(ValueError):
@@ -299,41 +299,18 @@ def weak_doubling_constant(
         labels = tuple(space.labels[i] for i in range(n) if wit >> i & 1)
         return WeakDoublingReport(best, best, True, labels)
 
-    # sampling bracket: exact covers of small random subsets give a valid
-    # lower bound; a greedy cover of larger samples gives a heuristic upper
+    # sampling bracket: exact covers of random subsets of at most exact_limit
+    # points give a lower bound; n singletons cover any set, so n is an upper
+    # bound
     rng = np.random.default_rng(seed)
-    lower, upper, wit_bits = 1, 1, [0]
-    pool = [list(range(n))] + [
-        sorted(rng.choice(n, size=int(rng.integers(2, exact_limit + 1)), replace=False))
-        for _ in range(samples)
-    ]
-    for bits in pool:
-        if len(bits) < 2:
-            continue
-        amask = _mask(bits)
-        adj = adj_for(subset_diam(bits))
-        if len(bits) <= exact_limit:
-            size = _diam_cover_size(space, amask, adj)
-            if size > lower:
-                lower, wit_bits = size, bits
-            upper = max(upper, size)
-        else:
-            uncovered = amask
-            used = 0
-            while uncovered:
-                bit = uncovered & -uncovered
-                v = bit.bit_length() - 1
-                grown = bit
-                for j in bits:
-                    jb = 1 << j
-                    if jb & uncovered and not (grown & ~(adj[j] | jb)):
-                        grown |= jb
-                uncovered &= ~grown
-                used += 1
-            upper = max(upper, used)
-    upper = max(upper, lower)
+    lower, wit_bits = 1, [0]
+    for _ in range(samples):
+        bits = sorted(rng.choice(n, size=int(rng.integers(2, exact_limit + 1)), replace=False))
+        size = _diam_cover_size(space, _mask(bits), adj_for(subset_diam(bits)))
+        if size > lower:
+            lower, wit_bits = size, bits
     labels = tuple(space.labels[i] for i in wit_bits)
-    return WeakDoublingReport(lower, upper, False, labels)
+    return WeakDoublingReport(lower, n, False, labels)
 
 
 def snowflake_doubling_check(
@@ -374,14 +351,11 @@ def sandwich_doubling_check(
     if space_d.n != space_D.n:
         raise ValueError("spaces must share the same point set")
     d, D = space_d.dist, space_D.dist
-    for i in range(space_d.n):
-        for j in range(space_d.n):
-            if i == j:
-                continue
-            if D[i, j] > d[i, j] * (1.0 + SANDWICH_RTOL):
-                raise SandwichError((i, j), f"D > d at pair ({i}, {j})")
-            if d[i, j] > alpha * D[i, j] * (1.0 + SANDWICH_RTOL):
-                raise SandwichError((i, j), f"d > alpha*D at pair ({i}, {j})")
+    low, high = first_violation(D, d), first_violation(d, alpha * D)
+    if low or high:
+        pair = min(p for p in (low, high) if p)
+        what = "D > d" if pair == low else "d > alpha*D"
+        raise SandwichError(pair, f"{what} at pair {pair}")
     N = 1
     while 2.0 ** (N - 1) <= alpha:
         N += 1

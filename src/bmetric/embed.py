@@ -13,18 +13,15 @@ fixed doubling structure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .certify import CertificateViolation, first_violation, within
 from .constants import relaxation_constant
 from .remetrize import epsilon_remetrize
 from .spaces import SemimetricSpace
-
-METRIC_RTOL = 1e-9
-CERT_RTOL = 1e-9
 
 
 class NonMetricError(ValueError):
@@ -79,8 +76,7 @@ class Embedding:
     scales: tuple[ScaleInfo, ...] = ()
 
     def pairwise_norms(self) -> np.ndarray:
-        diff = self.coords[:, None, :] - self.coords[None, :, :]
-        return np.linalg.norm(diff, axis=-1)
+        return _pairwise_norms(self.coords)
 
     def to_dict(self) -> dict:
         return {
@@ -146,9 +142,13 @@ class ConverseReport:
         }
 
 
+def _pairwise_norms(coords: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+
+
 def _require_metric(space: SemimetricSpace) -> None:
     K, _ = relaxation_constant(space)
-    if K > 1.0 + METRIC_RTOL:
+    if not within(K, 1.0):
         raise NonMetricError(K)
 
 
@@ -202,6 +202,11 @@ def assouad_embed(space: SemimetricSpace, config: EmbeddingConfig) -> Embedding:
     indexed by (j mod phase_blocks, color).  Bounds are then measured over
     all pairs and the coordinates rescaled so the certificate is symmetric.
     """
+    return _embed(space, config)[0]
+
+
+def _embed(space: SemimetricSpace, config: EmbeddingConfig) -> tuple[Embedding, np.ndarray]:
+    """assouad_embed, also returning the pairwise norms it certified."""
     _require_metric(space)
     n = space.n
     if n < 2:
@@ -230,7 +235,7 @@ def assouad_embed(space: SemimetricSpace, config: EmbeddingConfig) -> Embedding:
         block = (j % m) * q
         for z in net:
             coords[:, block + colors[z]] += scale_factor * np.maximum(0.0, 2.0 * r - d[:, z])
-    norms = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+    norms = _pairwise_norms(coords)
     L_lo, L_up = bilipschitz_ratios(norms, d, alpha)
     if L_lo <= 0.0:
         mask = ~np.eye(n, dtype=bool)
@@ -252,22 +257,19 @@ def assouad_embed(space: SemimetricSpace, config: EmbeddingConfig) -> Embedding:
             ScaleInfo(j, r, len(net), 1 + max(colors.values())) for j, r, net, colors in per_scale
         ),
     )
-    _certify(emb, d)
-    return emb
+    return emb, _certify(emb, d)
 
 
-def _certify(emb: Embedding, dist: np.ndarray) -> None:
+def _certify(emb: Embedding, dist: np.ndarray) -> np.ndarray:
+    """Check d^alpha / C <= ||F(x)-F(y)|| <= C d^alpha on every pair of
+    distinct points; returns the pairwise norms it checked."""
     norms = emb.pairwise_norms()
-    n = dist.shape[0]
     powered = dist ** emb.alpha
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            lo = powered[i, j] / emb.C
-            hi = powered[i, j] * emb.C
-            if norms[i, j] < lo * (1.0 - CERT_RTOL) or norms[i, j] > hi * (1.0 + CERT_RTOL):
-                raise AssertionError(f"bi-Lipschitz certificate failed at pair ({i}, {j})")
+    bad = [first_violation(powered / emb.C, norms), first_violation(norms, powered * emb.C)]
+    pair = min((p for p in bad if p), default=None)
+    if pair:
+        raise CertificateViolation(f"bi-Lipschitz certificate failed at pair {pair}")
+    return norms
 
 
 def bmetric_assouad_pipeline(
@@ -286,22 +288,21 @@ def bmetric_assouad_pipeline(
         config = replace(config, alpha=alpha)
     rem = epsilon_remetrize(space, 1.0)
     powered = space.dist ** rem.p
-    n = space.n
-    mask = ~np.eye(n, dtype=bool)
-    if not (rem.D[mask] <= powered[mask] * (1.0 + CERT_RTOL)).all():
-        raise AssertionError("stage-1 sandwich violated: D > d^p somewhere")
-    if not (powered[mask] <= 2.0 * rem.D[mask] * (1.0 + CERT_RTOL)).all():
-        raise AssertionError("stage-1 sandwich violated: d^p > 2D somewhere")
-    metric_space = space.with_dist(rem.D)
-    emb = assouad_embed(metric_space, config)
+    pair = first_violation(rem.D, powered)
+    if pair:
+        raise CertificateViolation(f"stage-1 sandwich violated: D > d^p at pair {pair}")
+    pair = first_violation(powered, 2.0 * rem.D)
+    if pair:
+        raise CertificateViolation(f"stage-1 sandwich violated: d^p > 2D at pair {pair}")
+    emb, norms = _embed(space.with_dist(rem.D), config)
     alpha_prime = rem.p * alpha
-    norms = emb.pairwise_norms()
+    mask = ~np.eye(space.n, dtype=bool)
     target = space.dist ** alpha_prime
     ratios = norms[mask] / target[mask]
     C_prime = float(max(ratios.max(), 1.0 / ratios.min()))
     stage_bound = 2.0 ** alpha * emb.C
-    if C_prime > stage_bound * (1.0 + CERT_RTOL):
-        raise AssertionError(
+    if not within(C_prime, stage_bound):
+        raise CertificateViolation(
             f"measured pipeline constant {C_prime} exceeds stage arithmetic {stage_bound}"
         )
     return PipelineResult(
@@ -340,5 +341,5 @@ def converse_bound(
         C_emp=C_emp,
         K_bound=K_bound,
         relaxation_K=K,
-        holds=K <= K_bound * (1.0 + CERT_RTOL),
+        holds=within(K, K_bound),
     )

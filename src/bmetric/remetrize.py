@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import within
 from .constants import relaxation_constant
 from .shortest_path import floyd_warshall
 from .spaces import SemimetricSpace
 
 P_RESOLUTION = 1e-3
-TRIANGLE_RTOL = 1e-9
 
 
 class FrinkPreconditionError(ValueError):
@@ -106,11 +106,11 @@ def frink_verify(space: SemimetricSpace) -> FrinkCertificate:
     construction and is reported rather than hidden.
     """
     K, _ = relaxation_constant(space)
-    if K > 2.0 + 1e-12:
+    if not within(K, 2.0):
         raise FrinkPreconditionError(K)
     rem = chain_metric(space)
     bound = K * K
-    holds = rem.sandwich_hi <= bound * (1.0 + 1e-12)
+    holds = within(rem.sandwich_hi, bound)
     return FrinkCertificate(relaxation_K=K, worst_ratio=rem.sandwich_hi, bound=bound, holds=holds)
 
 

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .certify import first_pair
 from .shortest_path import shortest_path_closure
 
 
@@ -140,35 +141,21 @@ class ValidationReport:
 
 def validate(space: SemimetricSpace, tolerance: float = 0.0) -> ValidationReport:
     """Check the two semimetric axioms: zero-diagonal/positive off-diagonal
-    and symmetry.
+    and symmetry.  A NaN or infinite distance fails the first axiom.
 
     tolerance loosens both checks for user-supplied files; generated data is
-    validated exactly (tolerance 0).
+    validated exactly (tolerance 0).  Each witness is the first failing pair
+    in row-major order, diagonal entries before off-diagonal ones.
     """
     d = space.dist
-    n = space.n
-    s1_ok, s1_wit = True, None
-    s2_ok, s2_wit = True, None
-    for i in range(n):
-        if abs(d[i, i]) > tolerance:
-            s1_ok, s1_wit = False, (i, i)
-            break
-    if s1_ok:
-        for i in range(n):
-            for j in range(n):
-                if i != j and d[i, j] <= tolerance:
-                    s1_ok, s1_wit = False, (i, j)
-                    break
-            if not s1_ok:
-                break
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(d[i, j] - d[j, i]) > tolerance:
-                s2_ok, s2_wit = False, (i, j)
-                break
-        if not s2_ok:
-            break
-    return ValidationReport(s1_ok, s2_ok, s1_wit, s2_wit)
+    bad_diag = np.flatnonzero(~(np.abs(np.diagonal(d)) <= tolerance))
+    if bad_diag.size:
+        s1_wit = (int(bad_diag[0]),) * 2
+    else:
+        s1_wit = first_pair(~np.eye(space.n, dtype=bool) & ~((d > tolerance) & np.isfinite(d)))
+    with np.errstate(invalid="ignore"):  # inf - inf; such a space already fails S1
+        s2_wit = first_pair(np.triu(np.abs(d - d.T) > tolerance, 1))
+    return ValidationReport(s1_wit is None, s2_wit is None, s1_wit, s2_wit)
 
 
 def snowflake(space: SemimetricSpace, p: float) -> SemimetricSpace:

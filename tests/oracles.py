@@ -102,3 +102,19 @@ def brute_weak_constant(dist):
                         candidates.append(frozenset(S))
             best = max(best, brute_min_cover(A, candidates))
     return best
+
+
+def loop_validate(dist, tolerance=0.0):
+    """(s1_witness, s2_witness) of the semimetric axioms by plain pair loops:
+    diagonal first, then off-diagonal pairs in row-major order; a NaN or
+    infinite distance fails S1."""
+    n = dist.shape[0]
+    s1 = next((
+        (i, i) for i in range(n) if not abs(dist[i, i]) <= tolerance), None)
+    if s1 is None:
+        s1 = next(((i, j) for i in range(n) for j in range(n) if i != j and not (
+            dist[i, j] > tolerance and np.isfinite(dist[i, j]))), None)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        s2 = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                   if abs(dist[i, j] - dist[j, i]) > tolerance), None)
+    return s1, s2

@@ -3,6 +3,8 @@ import json
 import jsonschema
 import pytest
 
+from bmetric import cli
+from bmetric.certify import CertificateViolation
 from bmetric.schema import load_schema
 from cli_runner import EXIT_ONE_PREFIXES, run_cli
 
@@ -22,6 +24,9 @@ def workdir(tmp_path_factory):
     ):
         assert run_cli(*args).returncode == 0
     (d / "broken.json").write_text('{"labels": ["a", "b"], "matrix": [[0, 1], [2, 0]]}')
+    for name, bad in (("nan.json", "NaN"), ("inf.json", "Infinity")):
+        (d / name).write_text('{"labels": ["a", "b", "c"], '
+                              f'"matrix": [[0, 1, {bad}], [1, 0, 1], [{bad}, 1, 0]]}}')
     return d
 
 
@@ -98,6 +103,9 @@ class TestExitCodes:
             (("embed", "rb.json", "--alpha", "0.75"), 1),  # non-metric input
             (("constants", "missing.json"), 1),
             (("constants", "broken.json"), 1),  # asymmetric matrix
+            (("constants", "nan.json"), 1),  # non-finite distances fail validation
+            (("verify", "nan.json", "--theorem", "4.3"), 1),
+            (("pipeline", "inf.json", "--alpha", "0.75"), 1),
         ]
         for args, expected in cases:
             r = run_cli(*args, "--quiet", cwd=workdir)
@@ -106,7 +114,7 @@ class TestExitCodes:
                 assert r.stderr.startswith(EXIT_ONE_PREFIXES), (args, r.stderr)
 
     def test_usage_error_is_one_not_two(self):
-        for args in (("constants",), ("frobnicate",)):
+        for args in (("constants",), ("frobnicate",), ("constants", "ex31.json", "--format", "csv")):
             r = run_cli(*args)
             assert r.returncode == 1, (args, r.stderr)
             assert r.stderr.startswith("usage:"), (args, r.stderr)
@@ -118,6 +126,36 @@ class TestExitCodes:
     def test_frink_precondition_names_constant(self, workdir):
         r = run_cli("verify", "rb3.json", "--theorem", "2.1", cwd=workdir)
         assert "found 2." in r.stderr
+
+    def test_nonfinite_input_names_pair(self, workdir):
+        r = run_cli("constants", "inf.json", cwd=workdir)
+        assert r.stderr == "error: input is not a semimetric space (witness pair (0, 2))\n"
+
+
+class TestViolationContract:
+    """Exit 2 means a certified violation, never an internal error (in-process)."""
+
+    def _raise(self, monkeypatch, name, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, name, fail)
+
+    def test_internal_assertion_is_not_a_finding(self, workdir, monkeypatch):
+        self._raise(monkeypatch, "constants_report", AssertionError("internal bug"))
+        with pytest.raises(AssertionError):
+            cli.main(["constants", str(workdir / "ex31.json"), "--quiet"])
+
+    def test_certificate_violation_exits_two(self, workdir, monkeypatch, capsys):
+        self._raise(monkeypatch, "bmetric_assouad_pipeline", CertificateViolation("C' > bound"))
+        assert cli.main(["pipeline", str(workdir / "rb3.json"), "--alpha", "0.75"]) == 2
+        assert capsys.readouterr().err.startswith("falsification finding")
+
+    def test_verify_reports_violation(self, workdir, monkeypatch, capsys):
+        self._raise(monkeypatch, "bmetric_assouad_pipeline", CertificateViolation("C' > bound"))
+        assert cli.main(["verify", str(workdir / "rb3.json"), "--theorem", "3.5"]) == 2
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report == {"theorem": "3.5", "holds": False, "detail": "C' > bound"}
 
 
 class TestMatrixOut:

@@ -148,6 +148,8 @@ class TestPipeline:
         target = s.dist ** result.alpha_prime
         mask = ~np.eye(s.n, dtype=bool)
         C = result.C_prime
+        ratios = norms[mask] / target[mask]
+        assert C == max(ratios.max(), 1.0 / ratios.min())
         assert (norms[mask] >= target[mask] / C * (1 - 1e-9)).all()
         assert (norms[mask] <= target[mask] * C * (1 + 1e-9)).all()
 

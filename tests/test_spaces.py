@@ -18,6 +18,7 @@ from bmetric import (
     validate,
 )
 from bmetric.constants import max_triple_ratio
+from oracles import loop_validate
 
 
 def space(matrix, labels=None):
@@ -61,6 +62,24 @@ class TestValidate:
         s = space([[0, 1], [1 + 1e-12, 0]])
         assert not validate(s).ok
         assert validate(s, tolerance=1e-9).ok
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_distance_fails_s1_with_witness(self, bad):
+        report = validate(space([[0, 1, bad], [1, 0, 1], [bad, 1, 0]]))
+        assert not report.s1_ok and report.s1_witness == (0, 2)
+        assert report.s2_ok
+
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(0)
+        values = np.array([0.0, 1e-12, 0.5, 1.0, 2.0, -1.0, np.nan, np.inf])
+        for _ in range(2000):
+            n = int(rng.integers(1, 6))
+            d = rng.choice(values, size=(n, n), p=[0.2, 0.05, 0.25, 0.25, 0.15, 0.04, 0.03, 0.03])
+            for tol in (0.0, 1e-9):
+                report = validate(space(d), tolerance=tol)
+                assert (report.s1_witness, report.s2_witness) == loop_validate(d, tol), (d, tol)
+                assert report.s1_ok == (report.s1_witness is None)
+                assert report.s2_ok == (report.s2_witness is None)
 
 
 class TestGenerators:
