@@ -45,19 +45,23 @@ def max_triple_ratio(dist: np.ndarray) -> tuple[float, tuple[int, int, int] | No
     n = dist.shape[0]
     if n <= 2:
         return 0.0, None
-    num = np.broadcast_to(dist[:, None, :], (n, n, n))
-    denom = dist[:, :, None] + dist[None, :, :]
-    idx = np.arange(n)
-    distinct = (
-        (idx[:, None, None] != idx[None, :, None])
-        & (idx[None, :, None] != idx[None, None, :])
-        & (idx[:, None, None] != idx[None, None, :])
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(distinct, num / denom, -np.inf)
-    flat = int(np.argmax(ratio))  # first occurrence in C order = lexicographic
-    i, j, k = np.unravel_index(flat, ratio.shape)
-    return float(ratio[i, j, k]), (int(i), int(j), int(k))
+    # One n×n slab ratio[j, k] per first index i: O(n²) memory.  argmax over
+    # the slab maxima, then within the slab, finds the first maximum in C
+    # order of the n×n×n array, i.e. the lexicographically smallest triple.
+    maxima = np.empty(n)
+    where = np.empty(n, dtype=np.intp)
+    for i in range(n):
+        ratio = dist + dist[i, :, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(dist[i], ratio, out=ratio)
+        ratio[i, :] = -np.inf
+        ratio[:, i] = -np.inf
+        np.fill_diagonal(ratio, -np.inf)
+        where[i] = np.argmax(ratio)
+        maxima[i] = ratio.flat[where[i]]
+    i = int(np.argmax(maxima))
+    j, k = divmod(int(where[i]), n)
+    return float(maxima[i]), (i, j, k)
 
 
 def relaxation_constant(space: SemimetricSpace) -> tuple[float, tuple[int, int, int] | None]:

@@ -143,7 +143,11 @@ class ConverseReport:
 
 
 def _pairwise_norms(coords: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+    """n×n Euclidean distances between rows, one row at a time: O(n·N) scratch."""
+    norms = np.empty((coords.shape[0], coords.shape[0]))
+    for i, row in enumerate(coords):
+        norms[i] = np.linalg.norm(row - coords, axis=-1)
+    return norms
 
 
 def _require_metric(space: SemimetricSpace) -> None:

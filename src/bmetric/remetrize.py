@@ -15,7 +15,7 @@ import numpy as np
 
 from .certify import within
 from .constants import relaxation_constant
-from .shortest_path import floyd_warshall
+from .shortest_path import shortest_path_closure
 from .spaces import SemimetricSpace
 
 P_RESOLUTION = 1e-3
@@ -86,7 +86,7 @@ def _sandwich(powered: np.ndarray, D: np.ndarray) -> tuple[float, float]:
 def chain_metric(space: SemimetricSpace) -> Remetrization:
     """Shortest-path closure of d: always a metric, always below d, and
     above d / c where c is the polygonal constant."""
-    D, _ = floyd_warshall(space.dist)
+    D = shortest_path_closure(space.dist)
     lo, hi = _sandwich(space.dist, D)
     return Remetrization(
         p=1.0,
@@ -131,7 +131,7 @@ def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
 
     def evaluate(p: float) -> tuple[float, np.ndarray]:
         powered = space.dist ** p
-        D, _ = floyd_warshall(powered)
+        D = shortest_path_closure(powered)
         _, hi = _sandwich(powered, D)
         trace.append((p, hi))
         return hi, D

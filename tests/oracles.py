@@ -10,10 +10,11 @@ from itertools import combinations, permutations
 import numpy as np
 
 
-def triple_loop_relaxation(dist):
-    """Exhaustive scan of ordered distinct triples; returns (K, witness)."""
+def loop_max_triple_ratio(dist):
+    """Largest d[i,k] / (d[i,j] + d[j,k]) over ordered distinct triples by a
+    plain triple loop, with the first triple attaining it, unclamped."""
     n = dist.shape[0]
-    best, wit = 0.0, None
+    best, wit = -np.inf, None
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -22,6 +23,12 @@ def triple_loop_relaxation(dist):
                 ratio = dist[i, k] / (dist[i, j] + dist[j, k])
                 if ratio > best:
                     best, wit = ratio, (i, j, k)
+    return best, wit
+
+
+def triple_loop_relaxation(dist):
+    """Exhaustive scan of ordered distinct triples; returns (K, witness)."""
+    best, wit = loop_max_triple_ratio(dist)
     if best <= 1.0:
         return 1.0, None
     return best, wit
@@ -64,15 +71,33 @@ def polygonal_by_enumeration(dist):
 
 def loop_floyd_warshall(dist):
     """Shortest-chain closure via plain nested loops (no numpy)."""
+    return np.array(_loop_floyd_warshall(dist)[0])
+
+
+def loop_predecessors(dist):
+    """Predecessor matrix of the loop closure: pred[i][j] is the vertex before
+    j on the chain kept by strict improvement in ascending pivot order."""
+    return np.array(_loop_floyd_warshall(dist)[1])
+
+
+def _loop_floyd_warshall(dist):
     n = dist.shape[0]
     D = [[float(dist[i, j]) for j in range(n)] for i in range(n)]
+    pred = [[i] * n for i in range(n)]
     for k in range(n):
         for i in range(n):
             for j in range(n):
                 via = D[i][k] + D[k][j]
                 if via < D[i][j]:
                     D[i][j] = via
-    return np.array(D)
+                    pred[i][j] = pred[k][j]
+    return D, pred
+
+
+def broadcast_pairwise_norms(coords):
+    """Euclidean distances between rows through the full n×n×N difference
+    tensor."""
+    return np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
 
 
 def brute_min_cover(universe, sets):
