@@ -89,8 +89,6 @@ def cmd_generate(args) -> int:
         params["seed"] = args.seed
     space = generate(GeneratorSpec(args.family, params))
     out = args.space_out
-    if out is None:
-        raise StructuralError("generate requires --space-out PATH")
     if args.format == "csv":
         Path(out).write_text(space.to_csv())
     else:

@@ -123,11 +123,10 @@ def ball(space: SemimetricSpace, center: int, radius: float, closed: bool = Fals
     return [int(i) for i in np.flatnonzero(row < radius)]
 
 
-def _mask(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << int(i)
-    return m
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """Bitmask of each row of a 2-D boolean array: bit j is column j."""
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def cover_requirement(
@@ -135,13 +134,13 @@ def cover_requirement(
 ) -> CoverResult:
     """Minimum number of open balls of radius/2 (centers anywhere) covering
     the open ball B(center, radius); exact when the target is small enough."""
-    target = ball(space, center, radius)
-    universe = _mask(target)
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
+    universe = _row_masks(space.dist[center, None] < radius)[0]
     if universe == 0:
         return CoverResult(0, 0, True, 0)
-    half = radius / 2.0
-    cands = [_mask(ball(space, z, half)) & universe for z in range(space.n)]
-    size = len(target)
+    cands = [m & universe for m in _row_masks(space.dist < radius / 2.0)]
+    size = universe.bit_count()
     if size <= exact_limit:
         chosen = exact_min_cover(universe, cands)
         return CoverResult(len(chosen), len(chosen), True, size, tuple(chosen))
@@ -151,17 +150,12 @@ def cover_requirement(
     return CoverResult(lower, upper, False, size)
 
 
-def _critical_radii(space: SemimetricSpace, center: int) -> list[float]:
-    """Radii at which either the target ball or some half-radius ball can
-    change contents: midpoints between consecutive breakpoints plus one
-    value past the largest."""
-    breaks = {0.0}
-    breaks.update(float(v) for v in space.dist[center])
-    breaks.update(float(2.0 * v) for v in np.unique(space.dist))
-    vals = sorted(breaks)
-    radii = [(a + b) / 2.0 for a, b in zip(vals, vals[1:]) if b > a]
-    radii.append(vals[-1] + 1.0)
-    return radii
+def _critical_radii(row: np.ndarray, doubled: np.ndarray) -> list[float]:
+    """Radii at which either the target ball (center distances row) or some
+    half-radius ball (all distances doubled) can change contents: midpoints
+    between consecutive breakpoints plus one value past the largest."""
+    vals = np.unique(np.concatenate(([0.0], row, doubled)))
+    return ((vals[:-1] + vals[1:]) / 2.0).tolist() + [float(vals[-1]) + 1.0]
 
 
 def doubling_constant(
@@ -173,13 +167,15 @@ def doubling_constant(
     wit_center, wit_radius = 0, 0.0
     cells = 0
     memo: dict[tuple, CoverResult] = {}
+    doubled = 2.0 * np.unique(space.dist)
     for x in range(space.n):
-        for r in _critical_radii(space, x):
+        row = space.dist[x]
+        for r in _critical_radii(row, doubled):
             cells += 1
-            target = ball(space, x, r)
+            target = _row_masks(row[None] < r)[0]
             if not target:
                 continue
-            key = (_mask(target), r)
+            key = (target, r)
             res = memo.get(key)
             if res is None:
                 res = cover_requirement(space, x, r, exact_limit)
@@ -235,7 +231,7 @@ def _maximal_cliques(adj: list[int], subset: int) -> list[int]:
     return out
 
 
-def _diam_cover_size(space: SemimetricSpace, amask: int, adj: list[int]) -> int:
+def _diam_cover_size(amask: int, adj: list[int]) -> int:
     """Minimum number of diameter-limited subsets covering the set amask.
 
     Covering sets may be any subsets of X, but intersecting with the target
@@ -247,16 +243,7 @@ def _diam_cover_size(space: SemimetricSpace, amask: int, adj: list[int]) -> int:
 
 
 def _threshold_adjacency(space: SemimetricSpace, threshold: float) -> list[int]:
-    d = space.dist
-    n = space.n
-    adj = []
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            if i != j and d[i, j] <= threshold:
-                m |= 1 << j
-        adj.append(m)
-    return adj
+    return _row_masks((space.dist <= threshold) & ~np.eye(space.n, dtype=bool))
 
 
 def weak_doubling_constant(
@@ -293,7 +280,7 @@ def weak_doubling_constant(
             if size < 2 or size <= best:
                 continue
             bits = [i for i in range(n) if amask >> i & 1]
-            cover = _diam_cover_size(space, amask, adj_for(subset_diam(bits)))
+            cover = _diam_cover_size(amask, adj_for(subset_diam(bits)))
             if cover > best:
                 best, wit = cover, amask
         labels = tuple(space.labels[i] for i in range(n) if wit >> i & 1)
@@ -302,11 +289,14 @@ def weak_doubling_constant(
     # sampling bracket: exact covers of random subsets of at most exact_limit
     # points give a lower bound; n singletons cover any set, so n is an upper
     # bound
+    if exact_limit < 2:
+        raise ValueError(f"sampled weak doubling needs exact_limit >= 2, got {exact_limit}")
     rng = np.random.default_rng(seed)
     lower, wit_bits = 1, [0]
     for _ in range(samples):
         bits = sorted(rng.choice(n, size=int(rng.integers(2, exact_limit + 1)), replace=False))
-        size = _diam_cover_size(space, _mask(bits), adj_for(subset_diam(bits)))
+        amask = _row_masks(np.isin(np.arange(n), bits)[None])[0]
+        size = _diam_cover_size(amask, adj_for(subset_diam(bits)))
         if size > lower:
             lower, wit_bits = size, bits
     labels = tuple(space.labels[i] for i in wit_bits)

@@ -100,6 +100,42 @@ def broadcast_pairwise_norms(coords):
     return np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
 
 
+def loop_ball_mask(dist, center, radius):
+    """Bitmask of the open ball B(center, radius), one bit per point by a
+    plain loop over the center's row."""
+    mask = 0
+    for j in range(dist.shape[0]):
+        if dist[center, j] < radius:
+            mask |= 1 << j
+    return mask
+
+
+def loop_threshold_adjacency(dist, threshold):
+    """Bitmask rows of the graph joining distinct points at distance at most
+    threshold, by a plain pair loop."""
+    n = dist.shape[0]
+    adj = []
+    for i in range(n):
+        mask = 0
+        for j in range(n):
+            if i != j and dist[i, j] <= threshold:
+                mask |= 1 << j
+        adj.append(mask)
+    return adj
+
+
+def loop_critical_radii(dist, center):
+    """Midpoints between the sorted set of breakpoints {0} ∪ row ∪ 2·dist,
+    plus one past the largest, built as a Python set."""
+    breaks = {0.0}
+    breaks.update(float(v) for v in dist[center])
+    breaks.update(float(2.0 * v) for v in np.unique(dist))
+    vals = sorted(breaks)
+    radii = [(a + b) / 2.0 for a, b in zip(vals, vals[1:]) if b > a]
+    radii.append(vals[-1] + 1.0)
+    return radii
+
+
 def brute_min_cover(universe, sets):
     """Smallest subfamily covering universe, by trying all combinations."""
     universe = frozenset(universe)

@@ -106,6 +106,7 @@ class TestExitCodes:
             (("constants", "nan.json"), 1),  # non-finite distances fail validation
             (("verify", "nan.json", "--theorem", "4.3"), 1),
             (("pipeline", "inf.json", "--alpha", "0.75"), 1),
+            (("doubling", "rb.json", "--weak", "--exact-max", "1"), 1),  # cannot sample subsets
         ]
         for args, expected in cases:
             r = run_cli(*args, "--quiet", cwd=workdir)
@@ -130,6 +131,13 @@ class TestExitCodes:
     def test_nonfinite_input_names_pair(self, workdir):
         r = run_cli("constants", "inf.json", cwd=workdir)
         assert r.stderr == "error: input is not a semimetric space (witness pair (0, 2))\n"
+
+    @pytest.mark.parametrize("limit", [1, 0, -3])
+    def test_weak_sampling_limit_is_named(self, workdir, capsys, limit):
+        argv = ["doubling", str(workdir / "rb.json"), "--weak", "--exact-max", str(limit)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: sampled weak doubling needs exact_limit >= 2, got {limit}\n")
 
 
 class TestViolationContract:

@@ -1,9 +1,11 @@
-"""Dense kernels: the closure, the triple scan and the pairwise norms.
+"""Dense kernels: the closure, the triple scan, the pairwise norms and the
+packed bitmasks of the doubling layer.
 
 Each kernel is checked against a loop or broadcast oracle on the generator
 families, including the tie-heavy grid and hub families, and against an
 O(n²) memory ceiling.  A guard keeps the predecessor matrix off the chain
-path: only `polygonal_constant` may run `floyd_warshall`.
+path: only `polygonal_constant` may run `floyd_warshall`.  Another keeps the
+doubling covers off the list-valued `ball()`.
 """
 
 import tracemalloc
@@ -12,13 +14,17 @@ import numpy as np
 import pytest
 
 import bmetric.constants
+import bmetric.doubling
 import bmetric.remetrize
 import bmetric.shortest_path
 from bmetric import (
     EmbeddingConfig,
     assouad_embed,
+    ball,
     bmetric_assouad_pipeline,
     chain_metric,
+    cover_requirement,
+    doubling_constant,
     epsilon_remetrize,
     euclidean_points,
     example31,
@@ -27,15 +33,21 @@ from bmetric import (
     relaxation_constant,
     snowflake,
     snowflaked_grid,
+    weak_doubling_constant,
 )
 from bmetric.constants import max_triple_ratio
+from bmetric.doubling import _critical_radii, _row_masks, _threshold_adjacency
 from bmetric.embed import _pairwise_norms
 from bmetric.shortest_path import floyd_warshall, shortest_path_closure
 from oracles import (
     broadcast_pairwise_norms,
+    brute_min_cover,
+    loop_ball_mask,
+    loop_critical_radii,
     loop_floyd_warshall,
     loop_max_triple_ratio,
     loop_predecessors,
+    loop_threshold_adjacency,
     triple_loop_relaxation,
 )
 
@@ -50,6 +62,12 @@ TIE_FAMILIES = {
     "grid-squared": lambda: snowflaked_grid(4, 2.0),
     "hub": lambda: example31(6),
     "hub-squared": lambda: snowflake(example31(6), 2.0),
+}
+# point counts 9, 16, 81 and 7, 13, 65: with and without padding bits in the
+# last packed byte, and wider than one 64-bit word
+MASK_FAMILIES = {
+    **{f"grid-{k * k}": (lambda k=k: snowflaked_grid(k, 1.0)) for k in (3, 4, 9)},
+    **{f"hub-{2 * m + 1}": (lambda m=m: example31(m)) for m in (3, 6, 32)},
 }
 POWERS = (1.0, 0.5, 0.3)
 
@@ -138,3 +156,62 @@ class TestChainPathNeedsNoPredecessors:
     def test_polygonal_constant_still_uses_it(self, no_floyd_warshall):
         with pytest.raises(AssertionError, match="floyd_warshall called"):
             polygonal_constant(random_bmetric(6, 2.0, seed=5))
+
+
+def _mask_radii(dist):
+    """Radius 0, every distance (open-ball boundary), the midpoints between
+    them and one past the largest."""
+    vals = np.unique(dist)
+    return [0.0, *vals, *((vals[:-1] + vals[1:]) / 2), vals[-1] + 1.0]
+
+
+class TestPackedMasks:
+    @pytest.mark.parametrize("family", sorted(MASK_FAMILIES))
+    def test_row_masks_match_loop_balls(self, family):
+        d = MASK_FAMILIES[family]().dist
+        for r in _mask_radii(d):
+            expected = [loop_ball_mask(d, i, r) for i in range(d.shape[0])]
+            assert _row_masks(d < r) == expected, r
+            assert _row_masks(d[0, None] < r) == expected[:1], r
+
+    @pytest.mark.parametrize("family", sorted(MASK_FAMILIES))
+    def test_threshold_adjacency_matches_loop(self, family):
+        s = MASK_FAMILIES[family]()
+        for t in _mask_radii(s.dist):
+            assert _threshold_adjacency(s, t) == loop_threshold_adjacency(s.dist, t), t
+
+    @pytest.mark.parametrize("family", ["grid-9", "hub-7"])
+    def test_cover_requirement_on_ball_boundaries(self, family):
+        # radii equal to a distance or to twice one put points exactly on the
+        # boundary of the target or of a half-radius ball
+        s = MASK_FAMILIES[family]()
+        vals = np.unique(s.dist)[1:]
+        for r in (*vals, *(2 * vals)):
+            for c in range(s.n):
+                res = cover_requirement(s, c, r, exact_limit=s.n)
+                target = ball(s, c, r)
+                assert res.target_size == len(target)
+                sets = [ball(s, z, r / 2) for z in range(s.n)]
+                assert res.upper == brute_min_cover(target, sets), (c, r)
+
+    @pytest.mark.parametrize("family", sorted({**FAMILIES, **TIE_FAMILIES}))
+    def test_critical_radii_match_set_formula(self, family):
+        d = {**FAMILIES, **TIE_FAMILIES}[family]().dist
+        doubled = 2.0 * np.unique(d)
+        for center in range(d.shape[0]):
+            radii = _critical_radii(d[center], doubled)
+            assert all(type(r) is float for r in radii)
+            assert np.array(radii).tobytes() == np.array(loop_critical_radii(d, center)).tobytes()
+
+
+class TestDoublingNeedsNoBallLists:
+    def test_covers_run_without_ball(self, monkeypatch):
+        def trap(*args, **kwargs):
+            raise AssertionError("ball called")
+
+        monkeypatch.setattr(bmetric.doubling, "ball", trap)
+        s = random_bmetric(9, 2.0, seed=4)
+        doubling_constant(s)
+        cover_requirement(s, 0, s.diameter())
+        assert weak_doubling_constant(s).exact
+        assert not weak_doubling_constant(s, exact_limit=4, samples=20).exact
