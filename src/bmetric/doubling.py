@@ -162,24 +162,23 @@ def doubling_constant(
     space: SemimetricSpace, exact_limit: int = DOUBLING_EXACT_LIMIT
 ) -> DoublingReport:
     """Worst-case minimum half-radius ball cover over all centers and all
-    critical radii; exact when every worst cell was solved exactly."""
+    critical radii; exact when every worst cell was solved exactly.
+
+    While the target ball B(x, r) stays the same, the half-radius balls only
+    grow with r, so neither the minimum cover nor the counting lower bound
+    can rise.  Only the first critical radius above each distinct value of
+    dist[x] is examined, at most n cells per center; below the smallest one,
+    0 on the diagonal, the target is empty."""
     best_lower, best_upper = 1, 1
     wit_center, wit_radius = 0, 0.0
     cells = 0
-    memo: dict[tuple, CoverResult] = {}
     doubled = 2.0 * np.unique(space.dist)
     for x in range(space.n):
         row = space.dist[x]
-        for r in _critical_radii(row, doubled):
+        radii = np.array(_critical_radii(row, doubled))
+        for r in radii[np.searchsorted(radii, np.unique(row), side="right")].tolist():
             cells += 1
-            target = _row_masks(row[None] < r)[0]
-            if not target:
-                continue
-            key = (target, r)
-            res = memo.get(key)
-            if res is None:
-                res = cover_requirement(space, x, r, exact_limit)
-                memo[key] = res
+            res = cover_requirement(space, x, r, exact_limit)
             if res.upper > best_upper:
                 best_upper = res.upper
                 wit_center, wit_radius = x, r

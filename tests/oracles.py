@@ -2,12 +2,16 @@
 
 These share no code with the library paths they check: plain triple loops,
 min-plus matrix powering, literal chain enumeration and subset-combination
-set cover.
+set cover.  The one exception is ``loop_doubling_constant``: it checks which
+cells the doubling constant examines, so it reuses the library's per-cell
+cover.
 """
 
 from itertools import combinations, permutations
 
 import numpy as np
+
+from bmetric import DoublingReport, cover_requirement
 
 
 def loop_max_triple_ratio(dist):
@@ -134,6 +138,25 @@ def loop_critical_radii(dist, center):
     radii = [(a + b) / 2.0 for a, b in zip(vals, vals[1:]) if b > a]
     radii.append(vals[-1] + 1.0)
     return radii
+
+
+def loop_doubling_constant(space, exact_limit):
+    """Doubling constant by a cover at every critical radius of every center:
+    all midpoints of {0} ∪ row ∪ 2·dist, as ``loop_critical_radii`` lists
+    them, with the library's ``cover_requirement`` per cell."""
+    best_lower, best_upper = 1, 1
+    wit_center, wit_radius = 0, 0.0
+    cells = 0
+    for x in range(space.n):
+        for r in loop_critical_radii(space.dist, x):
+            cells += 1
+            res = cover_requirement(space, x, r, exact_limit)
+            if res.upper > best_upper:
+                best_upper = res.upper
+                wit_center, wit_radius = x, r
+            best_lower = max(best_lower, res.lower)
+    return DoublingReport(best_lower, best_upper, best_lower == best_upper,
+                          space.labels[wit_center], wit_radius, cells)
 
 
 def brute_min_cover(universe, sets):

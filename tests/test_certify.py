@@ -40,3 +40,19 @@ def test_one_tolerance_constant():
             offenders += [f"{path.name}:{t.id}" for t in targets
                           if isinstance(t, ast.Name) and t.id.endswith("TOL")]
     assert not offenders, offenders
+
+
+def test_no_runtime_jsonschema_import():
+    # jsonschema validates reports in the tests only; it is a test extra.
+    offenders = []
+    for path in sorted(Path(bmetric.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{name}" for name in names
+                          if name.split(".")[0] == "jsonschema"]
+    assert not offenders, offenders

@@ -18,7 +18,12 @@ from bmetric import (
 )
 from bmetric.doubling import SandwichError
 from conftest import path_graph_metric
-from oracles import brute_min_cover, brute_weak_constant
+from oracles import (
+    brute_min_cover,
+    brute_weak_constant,
+    loop_critical_radii,
+    loop_doubling_constant,
+)
 
 
 class TestBall:
@@ -101,6 +106,60 @@ class TestDoublingConstant:
         exact = doubling_constant(s, exact_limit=25)
         assert exact.exact
         assert rep.lower <= exact.value <= rep.upper
+
+
+class TestOneRadiusPerTargetInterval:
+    """The first critical radius above each distinct center distance gives
+    the same constant as every critical radius."""
+
+    @pytest.mark.parametrize("exact_limit", [15, 4])
+    @pytest.mark.parametrize("space", [
+        snowflaked_grid(4, 0.5),
+        example31(7),
+        euclidean_points(16, 2, seed=5),
+        euclidean_points(17, 2, seed=10),
+        random_bmetric(16, 2.0, seed=7),
+        random_bmetric(17, 2.0, seed=4),
+    ], ids=["grid", "hub", "euclidean-16", "euclidean-17", "bmetric-16", "bmetric-17"])
+    def test_matches_every_critical_radius(self, space, exact_limit):
+        rep = doubling_constant(space, exact_limit)
+        old = loop_doubling_constant(space, exact_limit)
+        assert rep.lower == old.lower
+        assert rep.lower <= rep.upper <= old.upper
+        assert rep.exact >= old.exact
+        cell = cover_requirement(
+            space, space.index_of(old.witness_center), old.witness_radius, exact_limit)
+        if cell.exact:
+            assert (rep.witness_center, rep.witness_radius) == (
+                old.witness_center, old.witness_radius)
+        assert rep.critical_radii_examined == sum(len(np.unique(row)) for row in space.dist)
+        assert rep.critical_radii_examined <= space.n ** 2
+
+    def test_bracket_witness_may_move(self):
+        # The old witness cell (p2 @ 2.0758...) has a 16-point target, so its
+        # upper is a greedy cover, 6; the first radius of its target interval
+        # gets a greedy 5, and the first cell reaching 6 is now p6 @ 2.2308...
+        s = euclidean_points(18, 2, seed=11)
+        old = loop_doubling_constant(s, 15)
+        rep = doubling_constant(s)
+        assert (old.lower, old.upper, old.witness_center) == (6, 6, "p2")
+        assert not cover_requirement(s, s.index_of("p2"), old.witness_radius).exact
+        assert (rep.lower, rep.upper, rep.witness_center) == (6, 6, "p6")
+        assert rep.witness_radius in loop_critical_radii(s.dist, s.index_of("p6"))
+        assert rep.witness_radius == pytest.approx(2.230821506781237, rel=1e-12)
+
+    @pytest.mark.parametrize("space,limit,old_bracket,new_bracket,value", [
+        (euclidean_points(17, 2, seed=10), 15, (5, 6), (5, 5), 5),
+        (random_bmetric(17, 2.0, seed=4), 6, (7, 9), (7, 8), 8),
+    ], ids=["euclidean-17", "bmetric-17"])
+    def test_upper_can_only_tighten(self, space, limit, old_bracket, new_bracket, value):
+        # A greedy upper at an interval's first radius bounds the whole
+        # interval, and can be lower than a greedy cover later in it.
+        old = loop_doubling_constant(space, limit)
+        rep = doubling_constant(space, limit)
+        assert (old.lower, old.upper) == old_bracket
+        assert (rep.lower, rep.upper) == new_bracket
+        assert doubling_constant(space, exact_limit=space.n).value == value
 
 
 class TestWeakDoubling:

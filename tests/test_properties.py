@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 from bmetric import (
     SemimetricSpace,
     chain_metric,
+    cover_requirement,
+    doubling_constant,
+    euclidean_points,
     polygonal_constant,
+    random_bmetric,
     relaxation_constant,
     snowflake,
     validate,
     weak_doubling_constant,
 )
-from oracles import triple_loop_relaxation
+from oracles import loop_critical_radii, triple_loop_relaxation
 
 
 @st.composite
@@ -107,3 +111,26 @@ def test_weak_doubling_subspace_heredity(space, drop_seed):
     drop = drop_seed % space.n
     keep = [i for i in range(space.n) if i != drop]
     assert weak_doubling_constant(space.subspace(keep)).value <= full
+
+
+@given(st.sampled_from(["bmetric", "euclidean"]), st.integers(min_value=2, max_value=8),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=30, deadline=None)
+def test_cover_cannot_rise_while_the_target_ball_stays(family, n, seed):
+    # doubling_constant examines only the first critical radius of each
+    # target interval; this is the lemma that makes that enough.
+    space = random_bmetric(n, 2.0, seed) if family == "bmetric" else euclidean_points(n, 2, seed)
+    for x in range(n):
+        row = space.dist[x]
+        breaks = np.unique(np.append(row, 0.0))
+        prev = {}
+        for r in loop_critical_radii(space.dist, x):
+            interval = int(np.searchsorted(breaks, r))  # B(x, r) is fixed on each
+            exact = cover_requirement(space, x, r, exact_limit=n)
+            counting = cover_requirement(space, x, r, exact_limit=0)
+            assert exact.exact
+            if interval in prev:
+                assert exact.upper <= prev[interval][0]
+                assert counting.lower <= prev[interval][1]
+            prev[interval] = exact.upper, counting.lower
+    assert doubling_constant(space).critical_radii_examined <= n * n
