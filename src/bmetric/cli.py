@@ -242,8 +242,13 @@ def build_parser() -> _Parser:
 
     db = sub.add_parser("doubling", help="doubling constant (and optionally the weak analog)")
     db.add_argument("in_path")
-    db.add_argument("--exact-max", type=int, default=15)
-    db.add_argument("--weak", action="store_true")
+    db.add_argument("--exact-max", type=int, default=15,
+                    help="solve covers of target balls with at most this many points exactly; "
+                         "bracket larger ones")
+    db.add_argument("--weak", action="store_true",
+                    help="also the weak doubling constant: exact when the space has at most "
+                         "min(--exact-max, 20) points, otherwise a bracket from sampled subsets "
+                         "of at most that many points")
     common(db)
     db.set_defaults(func=cmd_doubling)
 

@@ -252,8 +252,9 @@ def weak_doubling_constant(
     seed: int = 0,
 ) -> WeakDoublingReport:
     """Worst-case minimum cover of a bounded set by sets of at most half
-    its diameter.  Exhaustive over all subsets when n <= exact_limit,
-    sampled bracket otherwise."""
+    its diameter.  Exact from the maximal cliques of each distance threshold
+    when n <= exact_limit, with the first subset in integer order (label i
+    is bit i) that reaches the value as witness; sampled bracket otherwise."""
     n = space.n
     d = space.dist
     if n == 1:
@@ -273,15 +274,29 @@ def weak_doubling_constant(
         return float(sub.max())
 
     if n <= exact_limit:
-        best, wit = 1, 1 << 0
-        for amask in range(3, 1 << n):
-            size = amask.bit_count()
-            if size < 2 or size <= best:
+        # A set A of diameter s lies in a maximal clique C of {d <= s}; a cover
+        # of C by sets of diameter <= s/2 covers A, and is no larger than C's
+        # own cover since diam(C) <= s.  So the constant is the largest such
+        # cover of a maximal clique over the distances s.
+        full = (1 << n) - 1
+        best, good = 1, []
+        for s in np.unique(d[~np.eye(n, dtype=bool)]).tolist():
+            for clique in _maximal_cliques(_threshold_adjacency(space, s), full):
+                if clique.bit_count() < best:
+                    continue
+                cover = _diam_cover_size(clique, adj_for(s))
+                if cover > best:
+                    best, good = cover, [clique]
+                elif cover == best:
+                    good.append(clique)
+        # witness: the first subset in integer order whose cover reaches best;
+        # it lies in a clique of good, the one taken at its own diameter
+        for wit in range(3, 1 << n):
+            if wit.bit_count() < best or all(wit & ~g for g in good):
                 continue
-            bits = [i for i in range(n) if amask >> i & 1]
-            cover = _diam_cover_size(amask, adj_for(subset_diam(bits)))
-            if cover > best:
-                best, wit = cover, amask
+            bits = [i for i in range(n) if wit >> i & 1]
+            if _diam_cover_size(wit, adj_for(subset_diam(bits))) == best:
+                break
         labels = tuple(space.labels[i] for i in range(n) if wit >> i & 1)
         return WeakDoublingReport(best, best, True, labels)
 

@@ -2,16 +2,17 @@
 
 These share no code with the library paths they check: plain triple loops,
 min-plus matrix powering, literal chain enumeration and subset-combination
-set cover.  The one exception is ``loop_doubling_constant``: it checks which
-cells the doubling constant examines, so it reuses the library's per-cell
-cover.
+set cover.  The exceptions are ``loop_doubling_constant`` and
+``loop_weak_doubling_constant``: they check which cells or subsets the
+constants examine, so they reuse the library's per-cell or per-subset cover.
 """
 
 from itertools import combinations, permutations
 
 import numpy as np
 
-from bmetric import DoublingReport, cover_requirement
+from bmetric import DoublingReport, WeakDoublingReport, cover_requirement
+from bmetric.doubling import _diam_cover_size, _threshold_adjacency
 
 
 def loop_max_triple_ratio(dist):
@@ -157,6 +158,41 @@ def loop_doubling_constant(space, exact_limit):
             best_lower = max(best_lower, res.lower)
     return DoublingReport(best_lower, best_upper, best_lower == best_upper,
                           space.labels[wit_center], wit_radius, cells)
+
+
+def loop_weak_doubling_constant(space):
+    """Exact weak doubling constant by a cover of every subset of X in
+    integer mask order, with the library's per-subset cover; the witness is
+    the first subset to reach the largest cover."""
+    n = space.n
+    d = space.dist
+    if n == 1:
+        return WeakDoublingReport(1, 1, True, (space.labels[0],))
+    adj_cache = {}
+
+    def adj_for(diam):
+        t = diam / 2.0
+        a = adj_cache.get(t)
+        if a is None:
+            a = _threshold_adjacency(space, t)
+            adj_cache[t] = a
+        return a
+
+    def subset_diam(bits):
+        sub = d[np.ix_(bits, bits)]
+        return float(sub.max())
+
+    best, wit = 1, 1 << 0
+    for amask in range(3, 1 << n):
+        size = amask.bit_count()
+        if size < 2 or size <= best:
+            continue
+        bits = [i for i in range(n) if amask >> i & 1]
+        cover = _diam_cover_size(amask, adj_for(subset_diam(bits)))
+        if cover > best:
+            best, wit = cover, amask
+    labels = tuple(space.labels[i] for i in range(n) if wit >> i & 1)
+    return WeakDoublingReport(best, best, True, labels)
 
 
 def brute_min_cover(universe, sets):

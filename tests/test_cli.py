@@ -139,6 +139,10 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: sampled weak doubling needs exact_limit >= 2, got {limit}\n")
 
+    def test_weak_help_names_its_exact_limit(self, capsys):
+        assert cli.main(["doubling", "--help"]) == 0
+        assert "min(--exact-max, 20) points" in " ".join(capsys.readouterr().out.split())
+
 
 class TestViolationContract:
     """Exit 2 means a certified violation, never an internal error (in-process)."""

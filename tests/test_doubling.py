@@ -16,6 +16,7 @@ from bmetric import (
     snowflaked_grid,
     weak_doubling_constant,
 )
+from bmetric import doubling as doubling_mod
 from bmetric.doubling import SandwichError
 from conftest import path_graph_metric
 from oracles import (
@@ -23,6 +24,7 @@ from oracles import (
     brute_weak_constant,
     loop_critical_radii,
     loop_doubling_constant,
+    loop_weak_doubling_constant,
 )
 
 
@@ -215,6 +217,51 @@ class TestWeakDoubling:
             bracket = weak_doubling_constant(s, exact_limit=limit, samples=samples, seed=1)
             assert not bracket.exact
             assert bracket.lower <= exact <= bracket.upper
+
+    @pytest.mark.parametrize("n", [5, 8, 10, 11])
+    @pytest.mark.parametrize("make", [
+        lambda n, seed: random_bmetric(n, 2.0, seed=seed),
+        lambda n, seed: random_bmetric(n, 3.0, seed=seed),
+        lambda n, seed: euclidean_points(n, 2, seed=seed),
+    ], ids=["bmetric-2", "bmetric-3", "euclidean"])
+    def test_matches_subset_loop(self, make, n):
+        # value and witness: the first subset in integer order to reach it
+        for seed in range(4):
+            s = make(n, seed)
+            assert weak_doubling_constant(s, exact_limit=n).to_dict() == \
+                loop_weak_doubling_constant(s).to_dict()
+
+    @pytest.mark.parametrize("space", [
+        snowflaked_grid(3, 0.5), doubling_not_weak(3, 4), doubling_not_weak(4, 3), example31(5),
+    ], ids=["grid", "not-weak-3-4", "not-weak-4-3", "example31"])
+    def test_structured_families_match_subset_loop(self, space):
+        assert weak_doubling_constant(space, exact_limit=space.n).to_dict() == \
+            loop_weak_doubling_constant(space).to_dict()
+
+    def test_clique_no_larger_than_best_can_hold_the_witness(self):
+        # {d, e, f} reaches 3 at distance 1; the clique {a, b, c} of distance
+        # 10 has only 3 points but reaches 3 too, and comes first in bit order
+        d = np.full((6, 6), 20.0)
+        d[:3, :3] = 10.0
+        d[3:, 3:] = 1.0
+        np.fill_diagonal(d, 0.0)
+        rep = weak_doubling_constant(SemimetricSpace(tuple("abcdef"), d))
+        assert rep.value == 3 and rep.witness_set == ("a", "b", "c")
+
+    def test_exact_covers_are_few(self, monkeypatch):
+        # maximal cliques per distance, not one cover per subset: the subset
+        # loop makes 14,992 covers on this input
+        calls = 0
+        cover = doubling_mod._diam_cover_size
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return cover(*args)
+
+        monkeypatch.setattr(doubling_mod, "_diam_cover_size", counted)
+        assert weak_doubling_constant(euclidean_points(14, 2, seed=1), exact_limit=14).exact
+        assert calls <= 1000
 
     def test_doubling_not_weak_family_grows(self):
         small = weak_doubling_constant(doubling_not_weak(2, 3)).value

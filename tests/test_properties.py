@@ -17,15 +17,17 @@ from bmetric import (
     validate,
     weak_doubling_constant,
 )
-from oracles import loop_critical_radii, triple_loop_relaxation
+from oracles import loop_critical_radii, loop_weak_doubling_constant, triple_loop_relaxation
+
+FLOATS = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 
 
 @st.composite
-def semimetric_spaces(draw, max_n=7):
+def semimetric_spaces(draw, max_n=7, values=FLOATS):
     n = draw(st.integers(min_value=2, max_value=max_n))
     entries = draw(
         st.lists(
-            st.floats(min_value=0.05, max_value=50.0, allow_nan=False),
+            values,
             min_size=n * (n - 1) // 2,
             max_size=n * (n - 1) // 2,
         )
@@ -111,6 +113,15 @@ def test_weak_doubling_subspace_heredity(space, drop_seed):
     drop = drop_seed % space.n
     keep = [i for i in range(space.n) if i != drop]
     assert weak_doubling_constant(space.subspace(keep)).value <= full
+
+
+@given(st.one_of(semimetric_spaces(),
+                 semimetric_spaces(values=st.sampled_from([1.0, 2.0, 3.0, 5.0]))))
+@settings(max_examples=40, deadline=None)
+def test_weak_doubling_matches_subset_loop(space):
+    # the second strategy draws from four distances, so covers tie often and
+    # the witness has rivals
+    assert weak_doubling_constant(space).to_dict() == loop_weak_doubling_constant(space).to_dict()
 
 
 @given(st.sampled_from(["bmetric", "euclidean"]), st.integers(min_value=2, max_value=8),
