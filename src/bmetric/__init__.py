@@ -13,7 +13,6 @@ from .spaces import (
     validate,
     generate,
     snowflake,
-    enclosing_ball,
     example31,
     doubling_not_weak,
     random_bmetric,
@@ -54,7 +53,6 @@ __all__ = [
     "validate",
     "generate",
     "snowflake",
-    "enclosing_ball",
     "example31",
     "doubling_not_weak",
     "random_bmetric",

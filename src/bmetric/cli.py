@@ -16,6 +16,8 @@ from . import __version__
 from .certify import CertificateViolation, first_violation
 from .constants import constants_report
 from .doubling import (
+    DOUBLING_EXACT_LIMIT,
+    WEAK_EXACT_CAP,
     doubling_constant,
     sandwich_doubling_check,
     snowflake_doubling_check,
@@ -30,7 +32,7 @@ from .embed import (
     converse_bound,
 )
 from .remetrize import FrinkPreconditionError, chain_metric, epsilon_remetrize, frink_verify
-from .spaces import GeneratorSpec, SemimetricSpace, StructuralError, generate, validate
+from .spaces import FAMILIES, GeneratorSpec, SemimetricSpace, StructuralError, generate, validate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -124,7 +126,8 @@ def cmd_doubling(args) -> int:
     space = _read_space(args.in_path)
     report: dict = {"doubling": doubling_constant(space, args.exact_max).to_dict()}
     if args.weak:
-        report["weak"] = weak_doubling_constant(space, min(args.exact_max, 20)).to_dict()
+        weak = weak_doubling_constant(space, min(args.exact_max, WEAK_EXACT_CAP))
+        report["weak"] = weak.to_dict()
     _emit(args, {"manifest": _manifest(args, "doubling",
                                        {"exact_max": args.exact_max, "weak": args.weak}),
                  "report": report})
@@ -187,7 +190,7 @@ def _check(args, space: SemimetricSpace) -> tuple[bool, dict]:
     result = bmetric_assouad_pipeline(space, args.alpha)  # 3.5 and 4.1
     if claim == "3.5":
         return True, result.to_dict()
-    rep = converse_bound(space, result.embedding.pairwise_norms(), result.alpha_prime)
+    rep = converse_bound(space, result.norms, result.alpha_prime)
     return rep.holds, rep.to_dict()
 
 
@@ -212,9 +215,7 @@ def build_parser() -> _Parser:
         p.add_argument("--quiet", action="store_true")
 
     g = sub.add_parser("generate", help="write a generated space to a file")
-    g.add_argument("--family", required=True,
-                   choices=("example31", "doubling-not-weak", "random-bmetric",
-                            "snowflaked-grid", "euclidean-points"))
+    g.add_argument("--family", required=True, choices=FAMILIES)
     g.add_argument("--n", type=int)
     g.add_argument("--m", type=int)
     g.add_argument("--K", type=float)
@@ -242,13 +243,13 @@ def build_parser() -> _Parser:
 
     db = sub.add_parser("doubling", help="doubling constant (and optionally the weak analog)")
     db.add_argument("in_path")
-    db.add_argument("--exact-max", type=int, default=15,
+    db.add_argument("--exact-max", type=int, default=DOUBLING_EXACT_LIMIT,
                     help="solve covers of target balls with at most this many points exactly; "
                          "bracket larger ones")
     db.add_argument("--weak", action="store_true",
                     help="also the weak doubling constant: exact when the space has at most "
-                         "min(--exact-max, 20) points, otherwise a bracket from sampled subsets "
-                         "of at most that many points")
+                         f"min(--exact-max, {WEAK_EXACT_CAP}) points, otherwise a bracket from "
+                         "sampled subsets of at most that many points")
     common(db)
     db.set_defaults(func=cmd_doubling)
 
@@ -276,7 +277,10 @@ def build_parser() -> _Parser:
     v.add_argument("--eps", type=float, default=None)
     v.add_argument("--p", type=float, default=0.5)
     v.add_argument("--alpha", type=float, default=0.75)
-    v.add_argument("--exact-max", type=int, default=15)
+    v.add_argument("--exact-max", type=int, default=DOUBLING_EXACT_LIMIT,
+                   help="exact-cover limit of both doubling constants in --theorem 3.3 and 3.4: "
+                        "solve covers of target balls with at most this many points exactly; "
+                        "bracket larger ones")
     common(v)
     v.set_defaults(func=cmd_verify)
     return parser

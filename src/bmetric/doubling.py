@@ -20,6 +20,7 @@ from .spaces import SemimetricSpace, snowflake
 
 DOUBLING_EXACT_LIMIT = 15
 WEAK_EXACT_LIMIT = 12
+WEAK_EXACT_CAP = 20  # the CLI's weak exact limit is min(--exact-max, this)
 
 
 class SandwichError(ValueError):
@@ -88,7 +89,6 @@ class CoverResult:
     upper: int
     exact: bool
     target_size: int
-    chosen_centers: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,11 @@ class BoundCheck:
         }
 
 
-def ball(space: SemimetricSpace, center: int, radius: float, closed: bool = False) -> list[int]:
-    """Indices of the open (default) or closed ball around center."""
+def ball(space: SemimetricSpace, center: int, radius: float) -> list[int]:
+    """Indices of the open ball around center."""
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    row = space.dist[center]
-    if closed:
-        return [int(i) for i in np.flatnonzero(row <= radius)]
-    return [int(i) for i in np.flatnonzero(row < radius)]
+    return [int(i) for i in np.flatnonzero(space.dist[center] < radius)]
 
 
 def _row_masks(rows: np.ndarray) -> list[int]:
@@ -142,8 +139,8 @@ def cover_requirement(
     cands = [m & universe for m in _row_masks(space.dist < radius / 2.0)]
     size = universe.bit_count()
     if size <= exact_limit:
-        chosen = exact_min_cover(universe, cands)
-        return CoverResult(len(chosen), len(chosen), True, size, tuple(chosen))
+        k = len(exact_min_cover(universe, cands))
+        return CoverResult(k, k, True, size)
     upper = len(greedy_cover(universe, cands))
     biggest = max((m.bit_count() for m in cands), default=0)
     lower = max(1, -(-size // biggest)) if biggest else size
@@ -246,15 +243,13 @@ def _threshold_adjacency(space: SemimetricSpace, threshold: float) -> list[int]:
 
 
 def weak_doubling_constant(
-    space: SemimetricSpace,
-    exact_limit: int = WEAK_EXACT_LIMIT,
-    samples: int = 200,
-    seed: int = 0,
+    space: SemimetricSpace, exact_limit: int = WEAK_EXACT_LIMIT
 ) -> WeakDoublingReport:
     """Worst-case minimum cover of a bounded set by sets of at most half
     its diameter.  Exact from the maximal cliques of each distance threshold
     when n <= exact_limit, with the first subset in integer order (label i
-    is bit i) that reaches the value as witness; sampled bracket otherwise."""
+    is bit i) that reaches the value as witness; otherwise a bracket from
+    200 random subsets of at most exact_limit points (seed 0)."""
     n = space.n
     d = space.dist
     if n == 1:
@@ -305,9 +300,9 @@ def weak_doubling_constant(
     # bound
     if exact_limit < 2:
         raise ValueError(f"sampled weak doubling needs exact_limit >= 2, got {exact_limit}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     lower, wit_bits = 1, [0]
-    for _ in range(samples):
+    for _ in range(200):
         bits = sorted(rng.choice(n, size=int(rng.integers(2, exact_limit + 1)), replace=False))
         amask = _row_masks(np.isin(np.arange(n), bits)[None])[0]
         size = _diam_cover_size(amask, adj_for(subset_diam(bits)))

@@ -14,7 +14,7 @@ fixed doubling structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,6 +110,7 @@ class PipelineResult:
     p: float
     D: np.ndarray
     embedding: Embedding
+    norms: np.ndarray  # pairwise distances of the embedded points, as certified
     alpha_prime: float
     C_prime: float
     stage_bound: float  # 2^alpha * C from the two-stage constant arithmetic
@@ -276,9 +277,7 @@ def _certify(emb: Embedding, dist: np.ndarray) -> np.ndarray:
     return norms
 
 
-def bmetric_assouad_pipeline(
-    space: SemimetricSpace, alpha: float, config: EmbeddingConfig | None = None
-) -> PipelineResult:
+def bmetric_assouad_pipeline(space: SemimetricSpace, alpha: float) -> PipelineResult:
     """Two-stage embedding of an arbitrary finite semimetric space.
 
     Stage 1 finds p in (0, 1] whose chain metric D sandwiches d^p within a
@@ -286,10 +285,6 @@ def bmetric_assouad_pipeline(
     is certified pointwise for d^(p*alpha), and the measured constant is
     cross-checked against the 2^alpha * C arithmetic of the two stages.
     """
-    if config is None:
-        config = EmbeddingConfig(alpha=alpha)
-    elif config.alpha != alpha:
-        config = replace(config, alpha=alpha)
     rem = epsilon_remetrize(space, 1.0)
     powered = space.dist ** rem.p
     pair = first_violation(rem.D, powered)
@@ -298,12 +293,10 @@ def bmetric_assouad_pipeline(
     pair = first_violation(powered, 2.0 * rem.D)
     if pair:
         raise CertificateViolation(f"stage-1 sandwich violated: d^p > 2D at pair {pair}")
-    emb, norms = _embed(space.with_dist(rem.D), config)
+    emb, norms = _embed(space.with_dist(rem.D), EmbeddingConfig(alpha=alpha))
     alpha_prime = rem.p * alpha
-    mask = ~np.eye(space.n, dtype=bool)
-    target = space.dist ** alpha_prime
-    ratios = norms[mask] / target[mask]
-    C_prime = float(max(ratios.max(), 1.0 / ratios.min()))
+    L_lo, L_up = bilipschitz_ratios(norms, space.dist, alpha_prime)
+    C_prime = max(L_up, 1.0 / L_lo)
     stage_bound = 2.0 ** alpha * emb.C
     if not within(C_prime, stage_bound):
         raise CertificateViolation(
@@ -313,6 +306,7 @@ def bmetric_assouad_pipeline(
         p=rem.p,
         D=rem.D,
         embedding=emb,
+        norms=norms,
         alpha_prime=alpha_prime,
         C_prime=C_prime,
         stage_bound=stage_bound,

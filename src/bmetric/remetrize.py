@@ -117,48 +117,40 @@ def frink_verify(space: SemimetricSpace) -> FrinkCertificate:
 def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
     """Find p in (0, 1] whose chain metric sandwiches d^p within 1 + epsilon.
 
-    Strategy: accept p = 1 outright if it certifies; otherwise halve p until
-    the certificate holds, then bisect toward the largest certified p, stopping
-    once it is within P_RESOLUTION of the smallest rejected p.  Termination is
-    guaranteed on finite spaces: as p -> 0 all powered distances tend to 1
-    while every proper chain sums to at least twice the minimum, so the direct
-    edge eventually wins every comparison.
+    Strategy: halve p from 1 until the certificate holds, then bisect toward
+    the largest certified p, stopping once it is within P_RESOLUTION of the
+    smallest rejected p.  Termination is guaranteed on finite spaces: as
+    p -> 0 all powered distances tend to 1 while every proper chain sums to
+    at least twice the minimum, so the direct edge eventually wins every
+    comparison.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     target = 1.0 + epsilon
     trace: list[tuple[float, float]] = []
 
-    def evaluate(p: float) -> tuple[float, np.ndarray]:
+    def evaluate(p: float) -> tuple[np.ndarray, float, float]:
         powered = space.dist ** p
         D = shortest_path_closure(powered)
-        _, hi = _sandwich(powered, D)
+        lo, hi = _sandwich(powered, D)
         trace.append((p, hi))
-        return hi, D
+        return D, lo, hi
 
-    hi, D = evaluate(1.0)
-    if hi <= target:
-        lo, hi2 = _sandwich(space.dist, D)
-        return Remetrization(1.0, epsilon, D, lo, hi2, "chain", tuple(trace))
-
-    p_bad = 1.0
-    p_good = 0.5
+    p_bad = best_p = 1.0
     while True:
-        hi, D = evaluate(p_good)
-        if hi <= target:
+        best = evaluate(best_p)
+        if best[2] <= target:
             break
-        p_bad = p_good
-        p_good /= 2.0
-        if p_good < 1e-12:
+        p_bad = best_p
+        best_p /= 2.0
+        if best_p < 1e-12:
             raise RuntimeError("snowflake exponent search failed to certify")
-    best_p, best_D = p_good, D
     while p_bad - best_p > P_RESOLUTION:
         mid = (best_p + p_bad) / 2.0
-        hi, D = evaluate(mid)
-        if hi <= target:
-            best_p, best_D = mid, D
+        res = evaluate(mid)
+        if res[2] <= target:
+            best_p, best = mid, res
         else:
             p_bad = mid
-    powered = space.dist ** best_p
-    lo, hi = _sandwich(powered, best_D)
-    return Remetrization(best_p, epsilon, best_D, lo, hi, "chain_after_snowflake", tuple(trace))
+    method = "chain" if best_p == 1.0 else "chain_after_snowflake"
+    return Remetrization(best_p, epsilon, *best, method, tuple(trace))

@@ -12,7 +12,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,22 +139,20 @@ class ValidationReport:
         return self.s1_ok and self.s2_ok
 
 
-def validate(space: SemimetricSpace, tolerance: float = 0.0) -> ValidationReport:
-    """Check the two semimetric axioms: zero-diagonal/positive off-diagonal
-    and symmetry.  A NaN or infinite distance fails the first axiom.
-
-    tolerance loosens both checks for user-supplied files; generated data is
-    validated exactly (tolerance 0).  Each witness is the first failing pair
-    in row-major order, diagonal entries before off-diagonal ones.
+def validate(space: SemimetricSpace) -> ValidationReport:
+    """Check the two semimetric axioms exactly: zero-diagonal/positive
+    off-diagonal and symmetry.  A NaN or infinite distance fails the first
+    axiom.  Each witness is the first failing pair in row-major order,
+    diagonal entries before off-diagonal ones.
     """
     d = space.dist
-    bad_diag = np.flatnonzero(~(np.abs(np.diagonal(d)) <= tolerance))
+    bad_diag = np.flatnonzero(~(np.abs(np.diagonal(d)) <= 0))
     if bad_diag.size:
         s1_wit = (int(bad_diag[0]),) * 2
     else:
-        s1_wit = first_pair(~np.eye(space.n, dtype=bool) & ~((d > tolerance) & np.isfinite(d)))
+        s1_wit = first_pair(~np.eye(space.n, dtype=bool) & ~((d > 0) & np.isfinite(d)))
     with np.errstate(invalid="ignore"):  # inf - inf; such a space already fails S1
-        s2_wit = first_pair(np.triu(np.abs(d - d.T) > tolerance, 1))
+        s2_wit = first_pair(np.triu(np.abs(d - d.T) > 0, 1))
     return ValidationReport(s1_wit is None, s2_wit is None, s1_wit, s2_wit)
 
 
@@ -163,19 +161,6 @@ def snowflake(space: SemimetricSpace, p: float) -> SemimetricSpace:
     if p <= 0:
         raise ValueError(f"snowflake exponent must be positive, got {p}")
     return space.with_dist(space.dist ** p)
-
-
-def enclosing_ball(space: SemimetricSpace, subset: Iterable[int]) -> tuple[int, float]:
-    """Center and radius of an open ball containing the whole subset.
-
-    The radius is diam(subset) + 1, which always works for any choice of
-    center inside the subset; the smallest index is chosen for determinism.
-    """
-    idx = sorted(set(int(i) for i in subset))
-    if not idx:
-        raise ValueError("subset must be nonempty")
-    sub = space.dist[np.ix_(idx, idx)]
-    return idx[0], float(sub.max()) + 1.0
 
 
 # ---- generators ---------------------------------------------------------

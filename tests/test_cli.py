@@ -3,7 +3,8 @@ import json
 import jsonschema
 import pytest
 
-from bmetric import cli
+import bmetric.embed
+from bmetric import SemimetricSpace, bmetric_assouad_pipeline, cli, converse_bound
 from bmetric.certify import CertificateViolation
 from bmetric.schema import load_schema
 from cli_runner import EXIT_ONE_PREFIXES, run_cli
@@ -142,6 +143,31 @@ class TestExitCodes:
     def test_weak_help_names_its_exact_limit(self, capsys):
         assert cli.main(["doubling", "--help"]) == 0
         assert "min(--exact-max, 20) points" in " ".join(capsys.readouterr().out.split())
+
+    def test_verify_help_names_its_exact_limit(self, capsys):
+        assert cli.main(["verify", "--help"]) == 0
+        assert ("exact-cover limit of both doubling constants in --theorem 3.3 and 3.4"
+                in " ".join(capsys.readouterr().out.split()))
+
+
+class TestConverseReusesCertifiedNorms:
+    @pytest.mark.parametrize("name", ["rb.json", "rb3.json"])
+    def test_report_matches_fresh_norms(self, workdir, capsys, name):
+        assert cli.main(["verify", str(workdir / name), "--theorem", "4.1"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        space = SemimetricSpace.from_json((workdir / name).read_text())
+        result = bmetric_assouad_pipeline(space, 0.75)
+        rep = converse_bound(space, result.embedding.pairwise_norms(), result.alpha_prime)
+        assert report == {"theorem": "4.1", "holds": rep.holds, **rep.to_dict()}
+
+    def test_two_norm_passes(self, workdir, monkeypatch):
+        # one in the embedding, one in its certificate; the converse reuses the latter
+        calls = []
+        norms = bmetric.embed._pairwise_norms
+        monkeypatch.setattr(bmetric.embed, "_pairwise_norms",
+                            lambda coords: calls.append(1) or norms(coords))
+        assert cli.main(["verify", str(workdir / "rb3.json"), "--theorem", "4.1", "--quiet"]) == 0
+        assert len(calls) == 2
 
 
 class TestViolationContract:

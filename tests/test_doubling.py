@@ -40,10 +40,7 @@ class TestBall:
 
     def test_zero_radius_open_ball_is_empty(self, triple_114):
         assert ball(triple_114, 0, 0.0) == []
-
-    def test_closed_ball_includes_boundary(self, triple_114):
-        assert ball(triple_114, 0, 1.0, closed=True) == [0, 1]
-        assert ball(triple_114, 0, 1.0, closed=False) == [0]
+        assert ball(triple_114, 0, 1.0) == [0]  # a point at distance exactly r is left out
 
     def test_negative_radius_rejected(self, triple_114):
         with pytest.raises(ValueError):
@@ -209,12 +206,12 @@ class TestWeakDoubling:
             assert weak <= doub ** 2
 
     def test_sampling_mode_brackets_exact_value(self):
-        for s, limit, samples in (
-            (euclidean_points(9, 2, seed=10), 6, 120),
-            (random_bmetric(10, 2.0, seed=0), 3, 200),  # largest sampled cover 4, exact 5
+        for s, limit in (
+            (euclidean_points(9, 2, seed=10), 6),
+            (random_bmetric(10, 2.0, seed=0), 3),  # sampled subsets of 3 points: lower 3, exact 5
         ):
             exact = weak_doubling_constant(s, exact_limit=s.n).value
-            bracket = weak_doubling_constant(s, exact_limit=limit, samples=samples, seed=1)
+            bracket = weak_doubling_constant(s, exact_limit=limit)
             assert not bracket.exact
             assert bracket.lower <= exact <= bracket.upper
 

@@ -142,16 +142,18 @@ class TestPipeline:
         assert result.C_prime <= result.stage_bound * (1 + 1e-9)
 
     def test_random_bmetric_certified(self):
-        s = random_bmetric(12, 2.0, seed=11)
-        result = bmetric_assouad_pipeline(s, 0.75)
-        norms = result.embedding.pairwise_norms()
-        target = s.dist ** result.alpha_prime
-        mask = ~np.eye(s.n, dtype=bool)
-        C = result.C_prime
-        ratios = norms[mask] / target[mask]
-        assert C == max(ratios.max(), 1.0 / ratios.min())
-        assert (norms[mask] >= target[mask] / C * (1 - 1e-9)).all()
-        assert (norms[mask] <= target[mask] * C * (1 + 1e-9)).all()
+        for s in (random_bmetric(12, 2.0, seed=11), random_bmetric(10, 3.0, seed=2),
+                  euclidean_points(9, 2, seed=5), snowflaked_grid(4, 2.0)):
+            result = bmetric_assouad_pipeline(s, 0.75)
+            norms = result.embedding.pairwise_norms()
+            assert result.norms.tobytes() == norms.tobytes()  # the certified norms are carried
+            target = s.dist ** result.alpha_prime
+            mask = ~np.eye(s.n, dtype=bool)
+            C = result.C_prime
+            ratios = norms[mask] / target[mask]
+            assert C == max(ratios.max(), 1.0 / ratios.min())  # the masked formula, bit for bit
+            assert (norms[mask] >= target[mask] / C * (1 - 1e-9)).all()
+            assert (norms[mask] <= target[mask] * C * (1 + 1e-9)).all()
 
     def test_squared_euclidean_grid(self):
         s = snowflaked_grid(6, 2.0)

@@ -214,4 +214,4 @@ class TestDoublingNeedsNoBallLists:
         doubling_constant(s)
         cover_requirement(s, 0, s.diameter())
         assert weak_doubling_constant(s).exact
-        assert not weak_doubling_constant(s, exact_limit=4, samples=20).exact
+        assert not weak_doubling_constant(s, exact_limit=4).exact

@@ -8,7 +8,7 @@ from bmetric import (
     polygonal_constant,
     random_bmetric,
 )
-from bmetric.remetrize import FrinkPreconditionError
+from bmetric.remetrize import FrinkPreconditionError, _sandwich
 from conftest import path_graph_metric
 from oracles import minplus_closure
 
@@ -128,6 +128,16 @@ class TestEpsilonRemetrize:
             powered = s.dist ** rem.p
             mask = offdiag_mask(s.n)
             assert (powered[mask] <= 2.0 * rem.D[mask] * (1 + 1e-12)).all()
+
+    @pytest.mark.parametrize("eps,method", [(1.0, "chain"), (0.05, "chain_after_snowflake")])
+    def test_sandwich_is_the_accepted_evaluation(self, eps, method):
+        # the (lo, hi) pair kept from the search equals a fresh sandwich of d^p
+        s = random_bmetric(10, 2.0, seed=3)
+        rem = epsilon_remetrize(s, eps)
+        assert rem.method == method
+        lo, hi = _sandwich(s.dist ** rem.p, rem.D)
+        assert np.float64(rem.sandwich_lo).tobytes() == np.float64(lo).tobytes()
+        assert np.float64(rem.sandwich_hi).tobytes() == np.float64(hi).tobytes()
 
     def test_rejects_nonpositive_eps(self, triple_114):
         with pytest.raises(ValueError):

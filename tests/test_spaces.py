@@ -8,7 +8,6 @@ from bmetric import (
     SemimetricSpace,
     StructuralError,
     doubling_not_weak,
-    enclosing_ball,
     euclidean_points,
     example31,
     generate,
@@ -58,11 +57,6 @@ class TestValidate:
         with pytest.raises(StructuralError):
             SemimetricSpace(("a", "a"), np.array([[0, 1], [1, 0]], dtype=float))
 
-    def test_tolerance_flag_absorbs_noise(self):
-        s = space([[0, 1], [1 + 1e-12, 0]])
-        assert not validate(s).ok
-        assert validate(s, tolerance=1e-9).ok
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_distance_fails_s1_with_witness(self, bad):
         report = validate(space([[0, 1, bad], [1, 0, 1], [bad, 1, 0]]))
@@ -75,11 +69,10 @@ class TestValidate:
         for _ in range(2000):
             n = int(rng.integers(1, 6))
             d = rng.choice(values, size=(n, n), p=[0.2, 0.05, 0.25, 0.25, 0.15, 0.04, 0.03, 0.03])
-            for tol in (0.0, 1e-9):
-                report = validate(space(d), tolerance=tol)
-                assert (report.s1_witness, report.s2_witness) == loop_validate(d, tol), (d, tol)
-                assert report.s1_ok == (report.s1_witness is None)
-                assert report.s2_ok == (report.s2_witness is None)
+            report = validate(space(d))
+            assert (report.s1_witness, report.s2_witness) == loop_validate(d), d
+            assert report.s1_ok == (report.s1_witness is None)
+            assert report.s2_ok == (report.s2_witness is None)
 
 
 class TestGenerators:
@@ -176,36 +169,6 @@ class TestSnowflake:
     def test_rejects_nonpositive_power(self, triple_114):
         with pytest.raises(ValueError):
             snowflake(triple_114, 0.0)
-
-
-class TestEnclosingBall:
-    def test_singleton(self, triple_114):
-        assert enclosing_ball(triple_114, [1]) == (1, 1.0)
-
-    def test_pair(self):
-        s = space([[0, 3], [3, 0]])
-        center, radius = enclosing_ball(s, [0, 1])
-        assert (center, radius) == (0, 4.0)
-        assert s.dist[0, 1] < radius
-
-    def test_example31_full_set(self):
-        s = example31(5)
-        center, radius = enclosing_ball(s, range(s.n))
-        assert radius == 11.0
-        assert all(s.dist[center, i] < radius for i in range(s.n))
-
-    def test_containment_for_random_subsets(self):
-        s = random_bmetric(9, 2.0, seed=4)
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            subset = rng.choice(9, size=rng.integers(1, 10), replace=False)
-            center, radius = enclosing_ball(s, subset)
-            assert center in set(int(i) for i in subset)
-            assert all(s.dist[center, i] < radius for i in subset)
-
-    def test_empty_subset_rejected(self, triple_114):
-        with pytest.raises(ValueError):
-            enclosing_ball(triple_114, [])
 
 
 class TestIO:
