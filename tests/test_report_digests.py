@@ -38,9 +38,11 @@ COMMANDS = (
     ("doubling",),
     ("doubling", "--weak"),
     ("doubling", "--weak", "--exact-max", "6"),  # sampled weak bracket
+    ("doubling", "--exact-max", "4"),  # greedy and counting bracket cells
     ("embed", "--alpha", "0.5"),
     ("pipeline", "--alpha", "0.75"),
     *(("verify", "--theorem", t) for t in ("2.1", "2.2", "3.3", "3.4", "3.5", "4.1", "4.3")),
+    ("verify", "--theorem", "3.3", "--exact-max", "4"),
 )
 CASES = [("generate", name) for name in INPUTS] + [
     (" ".join(argv), name) for name in INPUTS for argv in COMMANDS]
