@@ -126,6 +126,20 @@ def _row_masks(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _cover(universe: int, cands: list[int], exact_limit: int) -> CoverResult:
+    """Minimum cover of a nonempty universe by cands, sets already inside it:
+    exact up to exact_limit points, otherwise a greedy upper bound and the
+    counting lower bound size / largest set."""
+    size = universe.bit_count()
+    if size <= exact_limit:
+        k = len(exact_min_cover(universe, cands))
+        return CoverResult(k, k, True, size)
+    upper = len(greedy_cover(universe, cands))
+    biggest = max((m.bit_count() for m in cands), default=0)
+    lower = max(1, -(-size // biggest)) if biggest else size
+    return CoverResult(lower, upper, False, size)
+
+
 def cover_requirement(
     space: SemimetricSpace, center: int, radius: float, exact_limit: int = DOUBLING_EXACT_LIMIT
 ) -> CoverResult:
@@ -137,14 +151,7 @@ def cover_requirement(
     if universe == 0:
         return CoverResult(0, 0, True, 0)
     cands = [m & universe for m in _row_masks(space.dist < radius / 2.0)]
-    size = universe.bit_count()
-    if size <= exact_limit:
-        k = len(exact_min_cover(universe, cands))
-        return CoverResult(k, k, True, size)
-    upper = len(greedy_cover(universe, cands))
-    biggest = max((m.bit_count() for m in cands), default=0)
-    lower = max(1, -(-size // biggest)) if biggest else size
-    return CoverResult(lower, upper, False, size)
+    return _cover(universe, cands, exact_limit)
 
 
 def _critical_radii(row: np.ndarray, doubled: np.ndarray) -> list[float]:
@@ -165,17 +172,43 @@ def doubling_constant(
     grow with r, so neither the minimum cover nor the counting lower bound
     can rise.  Only the first critical radius above each distinct value of
     dist[x] is examined, at most n cells per center; below the smallest one,
-    0 on the diagonal, the target is empty."""
+    0 on the diagonal, the target is empty.
+
+    The targets of one center are packed in one call.  The half-radius
+    balls of a cell depend only on its level, the number of distinct
+    distances below r/2, so they are packed once per level and reused.  A
+    cell whose target size, or number of distinct nonempty candidate sets,
+    is at most the best lower bound so far is not solved: each set of a
+    cover, greedy's too, is a different candidate adding a point, so its
+    exact cover, greedy cover and counting bound are all at most that count;
+    it can raise neither bound nor move the witness (the first cell with a
+    larger upper).
+    """
     best_lower, best_upper = 1, 1
     wit_center, wit_radius = 0, 0.0
     cells = 0
-    doubled = 2.0 * np.unique(space.dist)
+    dists = np.unique(space.dist)
+    doubled = 2.0 * dists
+    halves: dict[int, list[int]] = {}  # level -> packed rows of dist < r/2
     for x in range(space.n):
         row = space.dist[x]
         radii = np.array(_critical_radii(row, doubled))
-        for r in radii[np.searchsorted(radii, np.unique(row), side="right")].tolist():
+        radii = radii[np.searchsorted(radii, np.unique(row), side="right")]
+        targets = _row_masks(row < radii[:, None])
+        levels = np.searchsorted(dists, radii / 2.0).tolist()
+        for r, universe, level in zip(radii.tolist(), targets, levels):
             cells += 1
-            res = cover_requirement(space, x, r, exact_limit)
+            if universe.bit_count() <= best_lower:
+                continue
+            balls = halves.get(level)
+            if balls is None:
+                balls = halves[level] = _row_masks(space.dist < r / 2.0)
+            # dropping repeats and empty sets keeps greedy's picks, since it
+            # takes the lowest index among ties
+            cands = [m for m in dict.fromkeys(m & universe for m in balls) if m]
+            if len(cands) <= best_lower:
+                continue
+            res = _cover(universe, cands, exact_limit)
             if res.upper > best_upper:
                 best_upper = res.upper
                 wit_center, wit_radius = x, r

@@ -36,7 +36,7 @@ class Remetrization:
     p: float
     epsilon_target: float | None
     D: np.ndarray
-    sandwich_lo: float
+    sandwich_lo: float  # max D/d^p, which is 1 (see _sandwich_hi)
     sandwich_hi: float
     method: str
     search_trace: tuple[tuple[float, float], ...] = ()
@@ -72,27 +72,29 @@ class FrinkCertificate:
         }
 
 
-def _sandwich(powered: np.ndarray, D: np.ndarray) -> tuple[float, float]:
-    """(max D/d^p, max d^p/D) over off-diagonal pairs."""
+def _sandwich_hi(powered: np.ndarray, D: np.ndarray) -> float:
+    """max d^p/D over off-diagonal pairs.
+
+    The other side, max D/d^p, is 1 for n >= 2: the closure never exceeds
+    d^p, and keeps the direct edge of the closest pair, since any longer
+    chain sums to at least twice the smallest distance."""
     n = powered.shape[0]
     if n < 2:
-        return 1.0, 1.0
+        return 1.0
     mask = ~np.eye(n, dtype=bool)
-    lo = float((D[mask] / powered[mask]).max())
-    hi = float((powered[mask] / D[mask]).max())
-    return lo, hi
+    return float((powered[mask] / D[mask]).max())
 
 
 def chain_metric(space: SemimetricSpace) -> Remetrization:
     """Shortest-path closure of d: always a metric, always below d, and
     above d / c where c is the polygonal constant."""
     D = shortest_path_closure(space.dist)
-    lo, hi = _sandwich(space.dist, D)
+    hi = _sandwich_hi(space.dist, D)
     return Remetrization(
         p=1.0,
         epsilon_target=None,
         D=D,
-        sandwich_lo=lo,
+        sandwich_lo=1.0,
         sandwich_hi=hi,
         method="chain",
         search_trace=((1.0, hi),),
@@ -129,17 +131,17 @@ def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
     target = 1.0 + epsilon
     trace: list[tuple[float, float]] = []
 
-    def evaluate(p: float) -> tuple[np.ndarray, float, float]:
+    def evaluate(p: float) -> tuple[np.ndarray, float]:
         powered = space.dist ** p
         D = shortest_path_closure(powered)
-        lo, hi = _sandwich(powered, D)
+        hi = _sandwich_hi(powered, D)
         trace.append((p, hi))
-        return D, lo, hi
+        return D, hi
 
     p_bad = best_p = 1.0
     while True:
         best = evaluate(best_p)
-        if best[2] <= target:
+        if best[1] <= target:
             break
         p_bad = best_p
         best_p /= 2.0
@@ -148,9 +150,10 @@ def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
     while p_bad - best_p > P_RESOLUTION:
         mid = (best_p + p_bad) / 2.0
         res = evaluate(mid)
-        if res[2] <= target:
+        if res[1] <= target:
             best_p, best = mid, res
         else:
             p_bad = mid
     method = "chain" if best_p == 1.0 else "chain_after_snowflake"
-    return Remetrization(best_p, epsilon, *best, method, tuple(trace))
+    D, hi = best
+    return Remetrization(best_p, epsilon, D, 1.0, hi, method, tuple(trace))

@@ -2,9 +2,10 @@
 
 These share no code with the library paths they check: plain triple loops,
 min-plus matrix powering, literal chain enumeration and subset-combination
-set cover.  The exceptions are ``loop_doubling_constant`` and
-``loop_weak_doubling_constant``: they check which cells or subsets the
-constants examine, so they reuse the library's per-cell or per-subset cover.
+set cover.  The exceptions are ``loop_doubling_constant``,
+``cell_doubling_constant`` and ``loop_weak_doubling_constant``: they check
+which cells or subsets the constants examine or skip, so they reuse the
+library's per-cell or per-subset cover.
 """
 
 from itertools import combinations, permutations
@@ -12,7 +13,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from bmetric import DoublingReport, WeakDoublingReport, cover_requirement
-from bmetric.doubling import _diam_cover_size, _threshold_adjacency
+from bmetric.doubling import _critical_radii, _diam_cover_size, _threshold_adjacency
 
 
 def loop_max_triple_ratio(dist):
@@ -156,6 +157,30 @@ def loop_doubling_constant(space, exact_limit):
                 best_upper = res.upper
                 wit_center, wit_radius = x, r
             best_lower = max(best_lower, res.lower)
+    return DoublingReport(best_lower, best_upper, best_lower == best_upper,
+                          space.labels[wit_center], wit_radius, cells)
+
+
+def cell_doubling_constant(space, exact_limit):
+    """Doubling constant by a cover of every cell ``doubling_constant``
+    examines, the first critical radius above each distinct center distance,
+    with the library's ``cover_requirement`` per cell: no cell is skipped and
+    every half-radius ball is packed again."""
+    best_lower, best_upper = 1, 1
+    wit_center, wit_radius = 0, 0.0
+    cells = 0
+    doubled = 2.0 * np.unique(space.dist)
+    for x in range(space.n):
+        row = space.dist[x]
+        radii = np.array(_critical_radii(row, doubled))
+        for r in radii[np.searchsorted(radii, np.unique(row), side="right")].tolist():
+            cells += 1
+            res = cover_requirement(space, x, r, exact_limit)
+            if res.upper > best_upper:
+                best_upper = res.upper
+                wit_center, wit_radius = x, r
+            if res.lower > best_lower:
+                best_lower = res.lower
     return DoublingReport(best_lower, best_upper, best_lower == best_upper,
                           space.labels[wit_center], wit_radius, cells)
 

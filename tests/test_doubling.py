@@ -22,6 +22,7 @@ from conftest import path_graph_metric
 from oracles import (
     brute_min_cover,
     brute_weak_constant,
+    cell_doubling_constant,
     loop_critical_radii,
     loop_doubling_constant,
     loop_weak_doubling_constant,
@@ -159,6 +160,55 @@ class TestOneRadiusPerTargetInterval:
         assert (old.lower, old.upper) == old_bracket
         assert (rep.lower, rep.upper) == new_bracket
         assert doubling_constant(space, exact_limit=space.n).value == value
+
+
+def _count_calls(monkeypatch, name):
+    """Counter of the calls doubling_constant makes to doubling.<name>."""
+    calls = {"n": 0}
+    fn = getattr(doubling_mod, name)
+
+    def counted(*args):
+        calls["n"] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(doubling_mod, name, counted)
+    return calls
+
+
+class TestPackOnceAndSkip:
+    """Half-radius balls packed once per level, and no cover solved for a
+    cell that cannot raise the bracket, give the per-cell loop's report."""
+
+    @pytest.mark.parametrize("exact_limit", [15, 6, 4, 0])
+    @pytest.mark.parametrize("space", [
+        random_bmetric(18, 2.0, seed=2),
+        euclidean_points(18, 2, seed=3),
+        snowflaked_grid(4, 0.5),
+        example31(7),
+    ], ids=["bmetric", "euclidean", "grid", "hub"])
+    def test_matches_per_cell_loop(self, space, exact_limit):
+        assert doubling_constant(space, exact_limit).to_dict() == \
+            cell_doubling_constant(space, exact_limit).to_dict()
+
+    @pytest.mark.parametrize("space", [
+        random_bmetric(30, 2.0, seed=0), snowflaked_grid(6, 0.5), example31(12),
+    ], ids=["bmetric", "grid", "hub"])
+    def test_packs_once_per_level_and_solves_few_cells(self, space, monkeypatch):
+        # the per-cell loop packs twice per cell (1,800 calls on the b-metric)
+        # and solves 450 exact covers there
+        packs = _count_calls(monkeypatch, "_row_masks")
+        covers = _count_calls(monkeypatch, "exact_min_cover")
+        rep = doubling_constant(space)
+        assert packs["n"] <= space.n + len(np.unique(space.dist))
+        assert covers["n"] < rep.critical_radii_examined
+
+    def test_cells_tying_the_lower_bound_are_not_solved(self, uniform6, monkeypatch):
+        # singleton targets and every full ball after the first tie the best
+        # lower bound (1, then 6), so one cover of the twelve cells is solved
+        covers = _count_calls(monkeypatch, "exact_min_cover")
+        rep = doubling_constant(uniform6)
+        assert (rep.value, rep.critical_radii_examined) == (6, 12)
+        assert covers["n"] == 1
 
 
 class TestWeakDoubling:

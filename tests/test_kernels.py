@@ -95,6 +95,15 @@ class TestClosure:
         floyd_warshall(d)
         assert np.array_equal(d, before)
 
+    @pytest.mark.parametrize("family", sorted(TIE_FAMILIES))
+    def test_sandwich_lo_is_the_largest_closure_ratio(self, family):
+        # many pairs tie the smallest distance; each keeps its direct edge
+        s = TIE_FAMILIES[family]()
+        mask = ~np.eye(s.n, dtype=bool)
+        for rem in (chain_metric(s), epsilon_remetrize(s, 0.05)):
+            powered = s.dist ** rem.p
+            assert rem.sandwich_lo == (rem.D[mask] / powered[mask]).max()
+
 
 class TestTripleScan:
     @pytest.mark.parametrize("family", sorted(TIE_FAMILIES))

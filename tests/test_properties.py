@@ -17,7 +17,12 @@ from bmetric import (
     validate,
     weak_doubling_constant,
 )
-from oracles import loop_critical_radii, loop_weak_doubling_constant, triple_loop_relaxation
+from oracles import (
+    cell_doubling_constant,
+    loop_critical_radii,
+    loop_weak_doubling_constant,
+    triple_loop_relaxation,
+)
 
 FLOATS = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 
@@ -145,3 +150,13 @@ def test_cover_cannot_rise_while_the_target_ball_stays(family, n, seed):
                 assert counting.lower <= prev[interval][1]
             prev[interval] = exact.upper, counting.lower
     assert doubling_constant(space).critical_radii_examined <= n * n
+
+
+@given(st.one_of(semimetric_spaces(max_n=10),
+                 semimetric_spaces(max_n=10, values=st.sampled_from([1.0, 2.0, 3.0, 5.0]))),
+       st.sampled_from([15, 5, 2, 0]))
+@settings(max_examples=60, deadline=None)
+def test_doubling_matches_per_cell_loop(space, exact_limit):
+    # four distances make many cells share a level and tie the lower bound
+    assert doubling_constant(space, exact_limit).to_dict() == \
+        cell_doubling_constant(space, exact_limit).to_dict()
