@@ -26,12 +26,11 @@ from .doubling import (
 from .embed import (
     DegenerateEmbeddingError,
     EmbeddingConfig,
-    NonMetricError,
     assouad_embed,
     bmetric_assouad_pipeline,
     converse_bound,
 )
-from .remetrize import FrinkPreconditionError, chain_metric, epsilon_remetrize, frink_verify
+from .remetrize import chain_metric, epsilon_remetrize, frink_verify
 from .spaces import FAMILIES, GeneratorSpec, SemimetricSpace, StructuralError, generate, validate
 
 EXIT_OK = 0
@@ -294,8 +293,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
         return args.func(args)
-    except (StructuralError, FrinkPreconditionError, NonMetricError, ValueError,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (CertificateViolation, DegenerateEmbeddingError) as exc:

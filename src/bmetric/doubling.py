@@ -132,9 +132,9 @@ def _cover(universe: int, cands: list[int], exact_limit: int) -> CoverResult:
     counting lower bound size / largest set."""
     size = universe.bit_count()
     if size <= exact_limit:
-        k = len(exact_min_cover(universe, cands))
+        k = exact_min_cover(universe, cands)
         return CoverResult(k, k, True, size)
-    upper = len(greedy_cover(universe, cands))
+    upper = greedy_cover(universe, cands)
     biggest = max((m.bit_count() for m in cands), default=0)
     lower = max(1, -(-size // biggest)) if biggest else size
     return CoverResult(lower, upper, False, size)
@@ -268,7 +268,7 @@ def _diam_cover_size(amask: int, adj: list[int]) -> int:
     target suffice.
     """
     cliques = _maximal_cliques(adj, amask)
-    return len(exact_min_cover(amask, cliques))
+    return exact_min_cover(amask, cliques)
 
 
 def _threshold_adjacency(space: SemimetricSpace, threshold: float) -> list[int]:
@@ -336,13 +336,34 @@ def weak_doubling_constant(
     rng = np.random.default_rng(0)
     lower, wit_bits = 1, [0]
     for _ in range(200):
-        bits = sorted(rng.choice(n, size=int(rng.integers(2, exact_limit + 1)), replace=False))
-        amask = _row_masks(np.isin(np.arange(n), bits)[None])[0]
+        k = int(rng.integers(2, exact_limit + 1))
+        bits = sorted(rng.choice(n, size=k, replace=False).tolist())
+        amask = sum(1 << b for b in bits)
         size = _diam_cover_size(amask, adj_for(subset_diam(bits)))
         if size > lower:
             lower, wit_bits = size, bits
     labels = tuple(space.labels[i] for i in wit_bits)
     return WeakDoublingReport(lower, n, False, labels)
+
+
+def _bound_check(
+    base_space: SemimetricSpace, other_space: SemimetricSpace, exponent: int, exact_limit: int
+) -> BoundCheck:
+    """Doubling constants of both spaces, and whether the other space's upper
+    bound is at most the base lower bound to the given power."""
+    base = doubling_constant(base_space, exact_limit)
+    other = doubling_constant(other_space, exact_limit)
+    bound = float(base.lower) ** exponent
+    return BoundCheck(
+        base_lower=base.lower,
+        base_upper=base.upper,
+        transformed_lower=other.lower,
+        transformed_upper=other.upper,
+        exponent=exponent,
+        bound=bound,
+        holds=other.upper <= bound,
+        exact=base.exact and other.exact,
+    )
 
 
 def snowflake_doubling_check(
@@ -352,21 +373,7 @@ def snowflake_doubling_check(
     constant to at most its ceil(1/p)-th power."""
     if not 0 < p <= 1:
         raise ValueError(f"power must lie in (0, 1], got {p}")
-    base = doubling_constant(space, exact_limit)
-    snow = doubling_constant(snowflake(space, p), exact_limit)
-    exponent = math.ceil(1.0 / p)
-    bound = float(base.lower) ** exponent
-    holds = snow.upper <= bound
-    return BoundCheck(
-        base_lower=base.lower,
-        base_upper=base.upper,
-        transformed_lower=snow.lower,
-        transformed_upper=snow.upper,
-        exponent=exponent,
-        bound=bound,
-        holds=holds,
-        exact=base.exact and snow.exact,
-    )
+    return _bound_check(space, snowflake(space, p), math.ceil(1.0 / p), exact_limit)
 
 
 def sandwich_doubling_check(
@@ -380,6 +387,8 @@ def sandwich_doubling_check(
     alpha < 2^(N-1)."""
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if space_d.n != space_D.n:
         raise ValueError("spaces must share the same point set")
     d, D = space_d.dist, space_D.dist
@@ -391,16 +400,4 @@ def sandwich_doubling_check(
     N = 1
     while 2.0 ** (N - 1) <= alpha:
         N += 1
-    base = doubling_constant(space_d, exact_limit)
-    transformed = doubling_constant(space_D, exact_limit)
-    bound = float(base.lower) ** N
-    return BoundCheck(
-        base_lower=base.lower,
-        base_upper=base.upper,
-        transformed_lower=transformed.lower,
-        transformed_upper=transformed.upper,
-        exponent=N,
-        bound=bound,
-        holds=transformed.upper <= bound,
-        exact=base.exact and transformed.exact,
-    )
+    return _bound_check(space_d, space_D, N, exact_limit)

@@ -50,6 +50,8 @@ class EmbeddingConfig:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if self.conflict_factor <= 2:
             raise ValueError(f"conflict factor must exceed 2, got {self.conflict_factor}")
+        if not math.isfinite(self.conflict_factor):
+            raise ValueError(f"conflict factor must be finite, got {self.conflict_factor}")
         if self.phase_blocks < 1:
             raise ValueError("need at least one phase block")
 

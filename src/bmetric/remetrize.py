@@ -9,6 +9,7 @@ a snowflake exponent p whose chain metric sandwiches d^p within 1 + epsilon.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,8 @@ def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     target = 1.0 + epsilon
     trace: list[tuple[float, float]] = []
 

@@ -1,100 +1,72 @@
-"""Minimum set cover on bitmask-encoded instances.
+"""Minimum set cover sizes on bitmask-encoded instances (bit i is element i).
 
-Exact solving via branch-and-bound with a greedy incumbent; intended for
-the small covers that appear in doubling-constant computations (target
-sets of a couple dozen elements).
+Both functions answer the size of a cover, not its sets.  The exact size
+comes from branch-and-bound with the greedy size as incumbent: each node
+branches on the uncovered element with the fewest covering sets, lowest bit
+first among ties, in an order fixed before the search.  Intended for the
+small covers that appear in doubling-constant computations (target sets of
+a couple dozen elements).
 """
 
 from __future__ import annotations
 
 
-def greedy_cover(universe: int, masks: list[int]) -> list[int]:
-    """Indices of a cover chosen by repeatedly taking the set covering the
+def greedy_cover(universe: int, masks: list[int]) -> int:
+    """Size of the cover chosen by repeatedly taking the set covering the
     most uncovered elements (ties to the lowest index)."""
-    uncovered = universe
-    chosen: list[int] = []
+    uncovered, picks = universe, 0
     while uncovered:
-        best_i, best_gain = -1, 0
-        for i, m in enumerate(masks):
+        best, best_gain = 0, 0
+        for m in masks:
             gain = (m & uncovered).bit_count()
             if gain > best_gain:
-                best_i, best_gain = i, gain
-        if best_i < 0:
+                best, best_gain = m, gain
+        if not best_gain:
             raise ValueError("universe not coverable by the given sets")
-        chosen.append(best_i)
-        uncovered &= ~masks[best_i]
-    return chosen
+        uncovered &= ~best
+        picks += 1
+    return picks
 
 
-def _prune_dominated(masks: list[int]) -> list[tuple[int, int]]:
-    """Keep one representative per mask and drop masks contained in another.
-
-    Returns (original_index, mask) pairs, lowest original index per kept mask.
-    """
-    seen: dict[int, int] = {}
-    for i, m in enumerate(masks):
-        if m and m not in seen:
-            seen[m] = i
-    items = sorted(seen.items(), key=lambda kv: (-kv[0].bit_count(), kv[1]))
-    kept: list[tuple[int, int]] = []
-    for m, i in items:
-        if any(m | km == km for km, _ in kept):
-            continue
-        kept.append((m, i))
-    return [(i, m) for m, i in kept]
-
-
-def exact_min_cover(universe: int, masks: list[int]) -> list[int]:
-    """Indices of a minimum-cardinality cover of universe; deterministic."""
+def exact_min_cover(universe: int, masks: list[int]) -> int:
+    """Size of a minimum-cardinality cover of universe."""
     if universe == 0:
-        return []
-    cand = _prune_dominated([m & universe for m in masks])
-    if not cand:
-        raise ValueError("universe not coverable by the given sets")
-    cmasks = [m for _, m in cand]
-    corig = [i for i, _ in cand]
+        return 0
+    # distinct nonempty sets inside universe, largest first (ties in
+    # first-seen order), without those contained in a set kept before them
+    cands: list[int] = []
+    traces = (m for m in dict.fromkeys(m & universe for m in masks) if m)
+    for m in sorted(traces, key=lambda m: -m.bit_count()):
+        if all(m | k != k for k in cands):
+            cands.append(m)
 
-    # element -> candidate indices covering it
-    elem_sets: dict[int, list[int]] = {}
+    # element -> candidates covering it, in candidate order
+    covering: dict[int, list[int]] = {}
     u = universe
     while u:
         bit = u & -u
-        elem_sets[bit] = [ci for ci, m in enumerate(cmasks) if m & bit]
-        if not elem_sets[bit]:
+        covering[bit] = [m for m in cands if m & bit]
+        if not covering[bit]:
             raise ValueError("universe not coverable by the given sets")
         u &= ~bit
+    # branching order: fewest covering sets first, then the lowest bit
+    order = sorted(covering, key=lambda bit: len(covering[bit]))
 
-    incumbent = greedy_cover(universe, cmasks)
-    best: list[int] = list(incumbent)
-    max_size = max(m.bit_count() for m in cmasks)
+    best = greedy_cover(universe, cands)
+    max_size = max(m.bit_count() for m in cands)
 
-    def descend(uncovered: int, chosen: list[int]) -> None:
+    def descend(uncovered: int, depth: int) -> None:
         nonlocal best
         if uncovered == 0:
-            if len(chosen) < len(best):
-                best = list(chosen)
+            best = min(best, depth)
             return
         # admissible lower bound: remaining elements / largest set size
         need = -(-uncovered.bit_count() // max_size)
-        if len(chosen) + need >= len(best):
+        if depth + need >= best:
             return
-        # branch on the uncovered element with fewest covering sets
-        u, pick, pick_opts = uncovered, 0, None
-        while u:
-            bit = u & -u
-            opts = [ci for ci in elem_sets[bit] if cmasks[ci] & uncovered]
-            if pick_opts is None or len(opts) < len(pick_opts):
-                pick, pick_opts = bit, opts
-                if len(opts) <= 1:
-                    break
-            u &= ~bit
-        if not pick_opts:
-            return
-        pick_opts.sort(key=lambda ci: (-(cmasks[ci] & uncovered).bit_count(), ci))
-        for ci in pick_opts:
-            chosen.append(ci)
-            descend(uncovered & ~cmasks[ci], chosen)
-            chosen.pop()
+        bit = next(b for b in order if b & uncovered)
+        for m in sorted(covering[bit], key=lambda m: -(m & uncovered).bit_count()):
+            descend(uncovered & ~m, depth + 1)
 
-    descend(universe, [])
-    return sorted(corig[ci] for ci in best)
+    descend(universe, 0)
+    return best

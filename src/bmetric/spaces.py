@@ -160,6 +160,8 @@ def snowflake(space: SemimetricSpace, p: float) -> SemimetricSpace:
     """Raise every distance to the power p (p > 0); axioms are preserved."""
     if p <= 0:
         raise ValueError(f"snowflake exponent must be positive, got {p}")
+    if not math.isfinite(p):
+        raise ValueError(f"snowflake exponent must be finite, got {p}")
     return space.with_dist(space.dist ** p)
 
 
@@ -252,6 +254,8 @@ def random_bmetric(n: int, K: float, seed: int) -> SemimetricSpace:
         raise ValueError("n must be >= 1")
     if K < 1:
         raise ValueError("relaxation target K must be >= 1")
+    if not math.isfinite(K):
+        raise ValueError(f"relaxation target K must be finite, got {K}")
     from .constants import max_triple_ratio  # late import: constants depends on spaces
 
     rng = np.random.default_rng(seed)
@@ -275,6 +279,8 @@ def snowflaked_grid(k: int, p: float) -> SemimetricSpace:
         raise ValueError("grid side must be >= 1")
     if p <= 0:
         raise ValueError("power must be positive")
+    if not math.isfinite(p):
+        raise ValueError(f"power must be finite, got {p}")
     pts = np.array([(i, j) for i in range(k) for j in range(k)], dtype=float)
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1) ** p
     np.fill_diagonal(d, 0.0)

@@ -5,7 +5,10 @@ min-plus matrix powering, literal chain enumeration and subset-combination
 set cover.  The exceptions are ``loop_doubling_constant``,
 ``cell_doubling_constant`` and ``loop_weak_doubling_constant``: they check
 which cells or subsets the constants examine or skip, so they reuse the
-library's per-cell or per-subset cover.
+library's per-cell or per-subset cover.  ``loop_greedy_cover`` and
+``loop_exact_min_cover`` are the library's earlier set cover, which
+returned the chosen indices, kept to check that the size-only one answers
+the same.
 """
 
 from itertools import combinations, permutations
@@ -224,11 +227,107 @@ def brute_min_cover(universe, sets):
     """Smallest subfamily covering universe, by trying all combinations."""
     universe = frozenset(universe)
     sets = [frozenset(s) & universe for s in sets]
-    for size in range(1, len(sets) + 1):
+    for size in range(len(sets) + 1):
         for combo in combinations(range(len(sets)), size):
             if frozenset().union(*(sets[c] for c in combo)) == universe:
                 return size
     raise ValueError("not coverable")
+
+
+def loop_greedy_cover(universe: int, masks: list[int]) -> list[int]:
+    """Indices of a cover chosen by repeatedly taking the set covering the
+    most uncovered elements (ties to the lowest index); the earlier library
+    greedy, kept as it was."""
+    uncovered = universe
+    chosen: list[int] = []
+    while uncovered:
+        best_i, best_gain = -1, 0
+        for i, m in enumerate(masks):
+            gain = (m & uncovered).bit_count()
+            if gain > best_gain:
+                best_i, best_gain = i, gain
+        if best_i < 0:
+            raise ValueError("universe not coverable by the given sets")
+        chosen.append(best_i)
+        uncovered &= ~masks[best_i]
+    return chosen
+
+
+def _prune_dominated(masks: list[int]) -> list[tuple[int, int]]:
+    """Keep one representative per mask and drop masks contained in another.
+
+    Returns (original_index, mask) pairs, lowest original index per kept mask.
+    """
+    seen: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        if m and m not in seen:
+            seen[m] = i
+    items = sorted(seen.items(), key=lambda kv: (-kv[0].bit_count(), kv[1]))
+    kept: list[tuple[int, int]] = []
+    for m, i in items:
+        if any(m | km == km for km, _ in kept):
+            continue
+        kept.append((m, i))
+    return [(i, m) for m, i in kept]
+
+
+def loop_exact_min_cover(universe: int, masks: list[int]) -> list[int]:
+    """Indices of a minimum-cardinality cover of universe; deterministic.
+
+    The earlier library branch-and-bound, kept as it was: it tracks the
+    chosen indices and filters the covering sets at every node."""
+    if universe == 0:
+        return []
+    cand = _prune_dominated([m & universe for m in masks])
+    if not cand:
+        raise ValueError("universe not coverable by the given sets")
+    cmasks = [m for _, m in cand]
+    corig = [i for i, _ in cand]
+
+    # element -> candidate indices covering it
+    elem_sets: dict[int, list[int]] = {}
+    u = universe
+    while u:
+        bit = u & -u
+        elem_sets[bit] = [ci for ci, m in enumerate(cmasks) if m & bit]
+        if not elem_sets[bit]:
+            raise ValueError("universe not coverable by the given sets")
+        u &= ~bit
+
+    incumbent = loop_greedy_cover(universe, cmasks)
+    best: list[int] = list(incumbent)
+    max_size = max(m.bit_count() for m in cmasks)
+
+    def descend(uncovered: int, chosen: list[int]) -> None:
+        nonlocal best
+        if uncovered == 0:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        # admissible lower bound: remaining elements / largest set size
+        need = -(-uncovered.bit_count() // max_size)
+        if len(chosen) + need >= len(best):
+            return
+        # branch on the uncovered element with fewest covering sets
+        u, pick, pick_opts = uncovered, 0, None
+        while u:
+            bit = u & -u
+            opts = [ci for ci in elem_sets[bit] if cmasks[ci] & uncovered]
+            if pick_opts is None or len(opts) < len(pick_opts):
+                pick, pick_opts = bit, opts
+                if len(opts) <= 1:
+                    break
+            u &= ~bit
+        if not pick_opts:
+            return
+        pick_opts.sort(key=lambda ci: (-(cmasks[ci] & uncovered).bit_count(), ci))
+        for ci in pick_opts:
+            chosen.append(ci)
+            descend(uncovered & ~cmasks[ci], chosen)
+            chosen.pop()
+
+    descend(universe, [])
+    return sorted(corig[ci] for ci in best)
 
 
 def brute_weak_constant(dist):

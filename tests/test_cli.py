@@ -108,6 +108,18 @@ class TestExitCodes:
             (("verify", "nan.json", "--theorem", "4.3"), 1),
             (("pipeline", "inf.json", "--alpha", "0.75"), 1),
             (("doubling", "rb.json", "--weak", "--exact-max", "1"), 1),  # cannot sample subsets
+            # NaN and infinite numeric parameters
+            (("remetrize", "rb.json", "--eps", "nan"), 1),
+            (("remetrize", "rb.json", "--eps", "inf"), 1),
+            (("verify", "rb.json", "--theorem", "2.2", "--eps", "nan"), 1),
+            (("embed", "grid.json", "--alpha", "0.5", "--conflict-factor", "nan"), 1),
+            (("embed", "grid.json", "--alpha", "0.5", "--conflict-factor", "inf"), 1),
+            (("generate", "--family", "snowflaked-grid", "--k", "3", "--p", "nan",
+              "--space-out", "bad.json"), 1),
+            (("generate", "--family", "random-bmetric", "--n", "5", "--K", "nan",
+              "--space-out", "bad.json"), 1),
+            (("generate", "--family", "random-bmetric", "--n", "5", "--K", "inf",
+              "--space-out", "bad.json"), 1),
         ]
         for args, expected in cases:
             r = run_cli(*args, "--quiet", cwd=workdir)

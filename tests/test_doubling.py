@@ -265,6 +265,13 @@ class TestWeakDoubling:
             assert not bracket.exact
             assert bracket.lower <= exact <= bracket.upper
 
+    def test_sampled_subsets_keep_points_past_bit_63(self):
+        # the witness holds points 70, 72 and 77; values of the earlier
+        # bracket, which packed each sampled subset with np.packbits
+        rep = weak_doubling_constant(euclidean_points(80, 2, seed=3), exact_limit=8)
+        assert (rep.lower, rep.upper, rep.exact) == (4, 80, False)
+        assert rep.witness_set == ("p6", "p14", "p23", "p44", "p47", "p70", "p72", "p77")
+
     @pytest.mark.parametrize("n", [5, 8, 10, 11])
     @pytest.mark.parametrize("make", [
         lambda n, seed: random_bmetric(n, 2.0, seed=seed),
@@ -365,3 +372,9 @@ class TestSandwichDoublingCheck:
         with pytest.raises(SandwichError) as err:
             sandwich_doubling_check(s, inflated, alpha=2.0)
         assert err.value.pair == (0, 1)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_alpha(self, alpha):
+        s = euclidean_points(4, 2, seed=0)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            sandwich_doubling_check(s, s, alpha)

@@ -124,6 +124,9 @@ class TestAssouadEmbed:
             EmbeddingConfig(alpha=0.7, tau=1.5)
         with pytest.raises(ValueError):
             EmbeddingConfig(alpha=0.7, conflict_factor=2.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="conflict factor must be finite"):
+                EmbeddingConfig(alpha=0.7, conflict_factor=bad)
 
     def test_coords_csv_header(self):
         s = path_graph_metric(3)

@@ -1,6 +1,7 @@
 """Property-based checks of the library's structural invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +18,12 @@ from bmetric import (
     validate,
     weak_doubling_constant,
 )
+from bmetric.setcover import exact_min_cover, greedy_cover
 from oracles import (
     cell_doubling_constant,
     loop_critical_radii,
+    loop_exact_min_cover,
+    loop_greedy_cover,
     loop_weak_doubling_constant,
     triple_loop_relaxation,
 )
@@ -160,3 +164,20 @@ def test_doubling_matches_per_cell_loop(space, exact_limit):
     # four distances make many cells share a level and tie the lower bound
     assert doubling_constant(space, exact_limit).to_dict() == \
         cell_doubling_constant(space, exact_limit).to_dict()
+
+
+@given(st.integers(min_value=0, max_value=2**10 - 1),
+       st.lists(st.integers(min_value=0, max_value=2**12 - 1), max_size=14))
+@settings(max_examples=200, deadline=None)
+def test_set_cover_sizes_match_index_oracle(universe, masks):
+    # bits 10 and 11 lie outside every universe
+    covered = 0
+    for m in masks:
+        covered |= m
+    if universe & ~covered:
+        for cover in (exact_min_cover, greedy_cover, loop_exact_min_cover, loop_greedy_cover):
+            with pytest.raises(ValueError):
+                cover(universe, masks)
+        return
+    assert exact_min_cover(universe, masks) == len(loop_exact_min_cover(universe, masks))
+    assert greedy_cover(universe, masks) == len(loop_greedy_cover(universe, masks))

@@ -145,6 +145,11 @@ class TestEpsilonRemetrize:
         with pytest.raises(ValueError):
             epsilon_remetrize(triple_114, 0.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_eps(self, triple_114, eps):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            epsilon_remetrize(triple_114, eps)
+
     def test_resolution_of_returned_exponent(self, triple_114):
         rem = epsilon_remetrize(triple_114, 0.1)
         rejected = [p for p, c in rem.search_trace if c > 1.1]

@@ -139,6 +139,13 @@ class TestGenerators:
         with pytest.raises(ValueError):
             random_bmetric(5, 0.5, seed=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="power must be finite"):
+            snowflaked_grid(3, bad)
+        with pytest.raises(ValueError, match="K must be finite"):
+            random_bmetric(5, bad, seed=0)
+
 
 class TestSnowflake:
     def test_exact_square_roots(self):
@@ -169,6 +176,11 @@ class TestSnowflake:
     def test_rejects_nonpositive_power(self, triple_114):
         with pytest.raises(ValueError):
             snowflake(triple_114, 0.0)
+
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_power(self, triple_114, p):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            snowflake(triple_114, p)
 
 
 class TestIO:
