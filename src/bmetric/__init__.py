@@ -36,8 +36,6 @@ from .embed import (
     Embedding,
     PipelineResult,
     ConverseReport,
-    greedy_net,
-    conflict_coloring,
     assouad_embed,
     bmetric_assouad_pipeline,
     converse_bound,
@@ -79,8 +77,6 @@ __all__ = [
     "Embedding",
     "PipelineResult",
     "ConverseReport",
-    "greedy_net",
-    "conflict_coloring",
     "assouad_embed",
     "bmetric_assouad_pipeline",
     "converse_bound",

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .certify import CertificateViolation, first_violation
+from .certify import CertificateViolation
 from .constants import constants_report
 from .doubling import (
     DOUBLING_EXACT_LIMIT,
@@ -159,49 +159,55 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _sandwiched(D, d, hi) -> bool:
-    """D <= d <= hi * D on every pair of distinct points."""
-    return first_violation(D, d) is None and first_violation(d, hi * D) is None
+def _epsilon(space, *, eps=1.0):
+    rem = epsilon_remetrize(space, eps)
+    return {"holds": True, "p": rem.p, "eps": eps, "sandwich_hi": rem.sandwich_hi}
 
 
-def _check(args, space: SemimetricSpace) -> tuple[bool, dict]:
-    """Run the claim named by --theorem: (holds, report fields)."""
-    claim = args.theorem
-    if claim == "2.1":
-        cert = frink_verify(space)
-        return cert.holds, cert.to_dict()
-    if claim == "2.2":
-        eps = args.eps if args.eps is not None else 1.0
-        rem = epsilon_remetrize(space, eps)
-        holds = _sandwiched(rem.D, space.dist ** rem.p, 1.0 + eps)
-        return holds, {"p": rem.p, "eps": eps, "sandwich_hi": rem.sandwich_hi}
-    if claim == "3.3":
-        check = snowflake_doubling_check(space, args.p, args.exact_max)
-        return check.holds, check.to_dict()
-    if claim == "3.4":
-        rem = chain_metric(space)
-        alpha = max(1.0, rem.sandwich_hi)
-        check = sandwich_doubling_check(space, space.with_dist(rem.D), alpha, args.exact_max)
-        return check.holds, check.to_dict() | {"alpha": alpha}
-    if claim == "4.3":
-        rem = chain_metric(space)
-        return _sandwiched(rem.D, space.dist, rem.sandwich_hi), {"c": rem.sandwich_hi}
-    result = bmetric_assouad_pipeline(space, args.alpha)  # 3.5 and 4.1
-    if claim == "3.5":
-        return True, result.to_dict()
-    rep = converse_bound(space, result.norms, result.alpha_prime)
-    return rep.holds, rep.to_dict()
+def _sandwich_doubling(space, *, exact_max=DOUBLING_EXACT_LIMIT):
+    rem = chain_metric(space)
+    alpha = max(1.0, rem.sandwich_hi)
+    check = sandwich_doubling_check(space, space.with_dist(rem.D), alpha, exact_max)
+    return check.to_dict() | {"alpha": alpha}
+
+
+def _converse(space, *, alpha=0.75):
+    result = bmetric_assouad_pipeline(space, alpha)
+    return converse_bound(space, result.norms, result.alpha_prime).to_dict()
+
+
+# Each claim of `verify --theorem` maps to a function of the space that returns
+# the report fields, "holds" among them.  Its keyword-only parameters, with
+# their defaults, are the only flags that claim reads.  The sandwich claims 2.2
+# and 4.3 hold once their remetrization exists, which certifies itself.
+THEOREMS = {
+    "2.1": lambda space: frink_verify(space).to_dict(),
+    "2.2": _epsilon,
+    "3.3": lambda space, *, p=0.5, exact_max=DOUBLING_EXACT_LIMIT:
+        snowflake_doubling_check(space, p, exact_max).to_dict(),
+    "3.4": _sandwich_doubling,
+    "3.5": lambda space, *, alpha=0.75:
+        {"holds": True} | bmetric_assouad_pipeline(space, alpha).to_dict(),
+    "4.1": _converse,
+    "4.3": lambda space: {"holds": True, "c": chain_metric(space).sandwich_hi},
+}
+VERIFY_FLAGS = ("eps", "p", "alpha", "exact_max")
 
 
 def cmd_verify(args) -> int:
+    check = THEOREMS[args.theorem]
+    flags = {k: getattr(args, k) for k in VERIFY_FLAGS if getattr(args, k) is not None}
+    unread = [k for k in flags if k not in (check.__kwdefaults__ or {})]
+    if unread:
+        raise ValueError(f"--theorem {args.theorem} does not read --{unread[0].replace('_', '-')}")
     space = _read_space(args.in_path)
     try:
-        holds, detail = _check(args, space)
+        report = check(space, **flags)
     except CertificateViolation as exc:
-        holds, detail = False, {"detail": str(exc)}
+        report = {"holds": False, "detail": str(exc)}
     _emit(args, {"manifest": _manifest(args, "verify", {"theorem": args.theorem}),
-                 "report": {"theorem": args.theorem, "holds": holds, **detail}})
-    return EXIT_OK if holds else EXIT_VIOLATION
+                 "report": {"theorem": args.theorem, **report}})
+    return EXIT_OK if report["holds"] else EXIT_VIOLATION
 
 
 def build_parser() -> _Parser:
@@ -270,16 +276,16 @@ def build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="certify one of the toolkit's supported claims")
     v.add_argument("in_path")
-    v.add_argument("--theorem", required=True,
-                   choices=("2.1", "2.2", "3.3", "3.4", "3.5", "4.1", "4.3"),
-                   help="claim identifier")
-    v.add_argument("--eps", type=float, default=None)
-    v.add_argument("--p", type=float, default=0.5)
-    v.add_argument("--alpha", type=float, default=0.75)
-    v.add_argument("--exact-max", type=int, default=DOUBLING_EXACT_LIMIT,
-                   help="exact-cover limit of both doubling constants in --theorem 3.3 and 3.4: "
-                        "solve covers of target balls with at most this many points exactly; "
-                        "bracket larger ones")
+    v.add_argument("--theorem", required=True, choices=tuple(THEOREMS), help="claim identifier")
+    v.add_argument("--eps", type=float,
+                   help="read by --theorem 2.2 only: the target of the (1+eps) sandwich")
+    v.add_argument("--p", type=float, help="read by --theorem 3.3 only: the snowflake power")
+    v.add_argument("--alpha", type=float,
+                   help="read by --theorem 3.5 and 4.1 only: the embedding exponent")
+    v.add_argument("--exact-max", type=int,
+                   help="exact-cover limit of both doubling constants in --theorem 3.3 and 3.4, "
+                        "the only claims that read it: solve covers of target balls with at most "
+                        "this many points exactly; bracket larger ones")
     common(v)
     v.set_defaults(func=cmd_verify)
     return parser

@@ -8,7 +8,6 @@ exactly when the space is a metric space.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +33,6 @@ class ConstantsReport:
             "witness_triple": list(self.witness_triple) if self.witness_triple else None,
             "witness_chain": list(self.witness_chain),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def max_triple_ratio(dist: np.ndarray) -> tuple[float, tuple[int, int, int] | None]:

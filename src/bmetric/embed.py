@@ -159,15 +159,8 @@ def _require_metric(space: SemimetricSpace) -> None:
         raise NonMetricError(K)
 
 
-def greedy_net(space: SemimetricSpace, r: float) -> list[int]:
-    """Maximal r-separated subset, scanning points in index order."""
-    _require_metric(space)
-    if r <= 0:
-        raise ValueError(f"net radius must be positive, got {r}")
-    return _net(space.dist, r)
-
-
 def _net(d: np.ndarray, r: float) -> list[int]:
+    """Maximal r-separated subset, scanning points in index order."""
     net: list[int] = []
     for i in range(d.shape[0]):
         if all(d[i, z] >= r for z in net):
@@ -175,12 +168,8 @@ def _net(d: np.ndarray, r: float) -> list[int]:
     return net
 
 
-def conflict_coloring(space: SemimetricSpace, net: list[int], radius: float) -> dict[int, int]:
-    """Greedy coloring of net points, conflicting below the given radius."""
-    return _coloring(space.dist, net, radius)
-
-
 def _coloring(d: np.ndarray, net: list[int], radius: float) -> dict[int, int]:
+    """Greedy coloring of net points, conflicting below the given radius."""
     colors: dict[int, int] = {}
     for u in net:
         used = {colors[v] for v in colors if v != u and d[u, v] < radius}
@@ -287,14 +276,7 @@ def bmetric_assouad_pipeline(space: SemimetricSpace, alpha: float) -> PipelineRe
     is certified pointwise for d^(p*alpha), and the measured constant is
     cross-checked against the 2^alpha * C arithmetic of the two stages.
     """
-    rem = epsilon_remetrize(space, 1.0)
-    powered = space.dist ** rem.p
-    pair = first_violation(rem.D, powered)
-    if pair:
-        raise CertificateViolation(f"stage-1 sandwich violated: D > d^p at pair {pair}")
-    pair = first_violation(powered, 2.0 * rem.D)
-    if pair:
-        raise CertificateViolation(f"stage-1 sandwich violated: d^p > 2D at pair {pair}")
+    rem = epsilon_remetrize(space, 1.0)  # certifies D <= d^p <= 2D
     emb, norms = _embed(space.with_dist(rem.D), EmbeddingConfig(alpha=alpha))
     alpha_prime = rem.p * alpha
     L_lo, L_up = bilipschitz_ratios(norms, space.dist, alpha_prime)

@@ -8,13 +8,12 @@ a snowflake exponent p whose chain metric sandwiches d^p within 1 + epsilon.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import within
+from .certify import CertificateViolation, first_violation, within
 from .constants import relaxation_constant
 from .shortest_path import shortest_path_closure
 from .spaces import SemimetricSpace
@@ -53,9 +52,6 @@ class Remetrization:
             "search_trace": [{"p": p, "c": c} for p, c in self.search_trace],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 @dataclass(frozen=True)
 class FrinkCertificate:
@@ -86,11 +82,22 @@ def _sandwich_hi(powered: np.ndarray, D: np.ndarray) -> float:
     return float((powered[mask] / D[mask]).max())
 
 
+def _certify_sandwich(powered: np.ndarray, D: np.ndarray, hi: float) -> None:
+    """Check D <= d^p <= hi * D on every pair of distinct points; raise
+    CertificateViolation naming the first pair where either side fails."""
+    low, high = first_violation(D, powered), first_violation(powered, hi * D)
+    if low or high:
+        pair = min(p for p in (low, high) if p)
+        claim = "D > d^p" if pair == low else f"d^p > {hi} * D"
+        raise CertificateViolation(f"remetrization sandwich violated: {claim} at pair {pair}")
+
+
 def chain_metric(space: SemimetricSpace) -> Remetrization:
     """Shortest-path closure of d: always a metric, always below d, and
     above d / c where c is the polygonal constant."""
     D = shortest_path_closure(space.dist)
     hi = _sandwich_hi(space.dist, D)
+    _certify_sandwich(space.dist, D, hi)
     return Remetrization(
         p=1.0,
         epsilon_target=None,
@@ -134,17 +141,18 @@ def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
     target = 1.0 + epsilon
     trace: list[tuple[float, float]] = []
 
-    def evaluate(p: float) -> tuple[np.ndarray, float]:
+    def evaluate(p: float) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """(d^p, D, hi) when hi meets the target; None drops a rejected p's arrays."""
         powered = space.dist ** p
         D = shortest_path_closure(powered)
         hi = _sandwich_hi(powered, D)
         trace.append((p, hi))
-        return D, hi
+        return (powered, D, hi) if hi <= target else None
 
     p_bad = best_p = 1.0
     while True:
         best = evaluate(best_p)
-        if best[1] <= target:
+        if best:
             break
         p_bad = best_p
         best_p /= 2.0
@@ -153,10 +161,11 @@ def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
     while p_bad - best_p > P_RESOLUTION:
         mid = (best_p + p_bad) / 2.0
         res = evaluate(mid)
-        if res[1] <= target:
+        if res:
             best_p, best = mid, res
         else:
             p_bad = mid
     method = "chain" if best_p == 1.0 else "chain_after_snowflake"
-    D, hi = best
+    powered, D, hi = best
+    _certify_sandwich(powered, D, hi)
     return Remetrization(best_p, epsilon, D, 1.0, hi, method, tuple(trace))

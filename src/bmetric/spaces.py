@@ -99,7 +99,12 @@ class SemimetricSpace:
             raise StructuralError(f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict) or "labels" not in obj or "matrix" not in obj:
             raise StructuralError('expected object with "labels" and "matrix"')
-        return cls(tuple(obj["labels"]), np.array(obj["matrix"], dtype=float))
+        labels, rows = obj["labels"], obj["matrix"]
+        if not isinstance(labels, list):
+            raise StructuralError('"labels" must be an array')
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise StructuralError('"matrix" must be an array of arrays')
+        return cls(tuple(labels), _float_matrix(rows))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -115,14 +120,18 @@ class SemimetricSpace:
         rows = [r for r in rows if r]
         if not rows:
             raise StructuralError("empty CSV input")
-        labels = tuple(rows[0])
-        try:
-            matrix = np.array([[float(x) for x in r] for r in rows[1:]], dtype=float)
-        except ValueError as exc:
-            raise StructuralError(f"non-numeric matrix entry: {exc}") from exc
-        if matrix.ndim != 2:
-            raise StructuralError("ragged CSV matrix")
-        return cls(labels, matrix)
+        return cls(tuple(rows[0]), _float_matrix(rows[1:]))
+
+
+def _float_matrix(rows: list[list]) -> np.ndarray:
+    """Equal-length rows of numbers (or numeric strings) as a float matrix."""
+    lengths = sorted({len(r) for r in rows})
+    if len(lengths) > 1:
+        raise StructuralError(f"ragged matrix: rows of {lengths[0]} to {lengths[-1]} entries")
+    try:
+        return np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"non-numeric matrix entry: {exc}") from exc
 
 
 @dataclass(frozen=True)

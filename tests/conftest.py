@@ -18,6 +18,22 @@ def triple_114():
 
 
 @pytest.fixture
+def inflated_closure(monkeypatch):
+    """A broken chain-metric closure: D exceeds its input three times over at
+    the pair (0, 1), so every remetrization sandwich must fail there."""
+    import bmetric.remetrize
+
+    closure = bmetric.remetrize.shortest_path_closure
+
+    def inflated(d):
+        D = closure(d).copy()
+        D[0, 1] = D[1, 0] = 3.0 * d[0, 1]
+        return D
+
+    monkeypatch.setattr(bmetric.remetrize, "shortest_path_closure", inflated)
+
+
+@pytest.fixture
 def uniform6():
     return SemimetricSpace(tuple("abcdef"), np.ones((6, 6)) - np.eye(6))
 

@@ -28,7 +28,23 @@ def workdir(tmp_path_factory):
     for name, bad in (("nan.json", "NaN"), ("inf.json", "Infinity")):
         (d / name).write_text('{"labels": ["a", "b", "c"], '
                               f'"matrix": [[0, 1, {bad}], [1, 0, 1], [{bad}, 1, 0]]}}')
+    (d / "labels_str.json").write_text('{"labels": "ab", "matrix": [[0, 1], [1, 0]]}')
+    (d / "labels_obj.json").write_text('{"labels": {"a": 0, "b": 1}, "matrix": [[0, 1], [1, 0]]}')
+    (d / "ragged.json").write_text('{"labels": ["a", "b"], "matrix": [[0, 1], [1]]}')
+    (d / "ragged.csv").write_text("a,b\n0,1\n1\n")
     return d
+
+
+# One flag per claim that the claim does not read.
+UNREAD_FLAGS = (
+    ("2.1", "--eps", "0.5"),
+    ("2.2", "--alpha", "0.5"),
+    ("3.3", "--alpha", "nan"),
+    ("3.4", "--alpha", "nan"),
+    ("3.5", "--p", "0.5"),
+    ("4.1", "--exact-max", "4"),
+    ("4.3", "--eps", "0.5"),
+)
 
 
 class TestGenerate:
@@ -120,6 +136,14 @@ class TestExitCodes:
               "--space-out", "bad.json"), 1),
             (("generate", "--family", "random-bmetric", "--n", "5", "--K", "inf",
               "--space-out", "bad.json"), 1),
+            # malformed space files
+            (("constants", "labels_str.json"), 1),
+            (("constants", "labels_obj.json"), 1),
+            (("constants", "ragged.json"), 1),
+            (("constants", "ragged.csv"), 1),
+            # a flag the chosen claim does not read
+            *((("verify", "rb.json", "--theorem", theorem, flag, value), 1)
+              for theorem, flag, value in UNREAD_FLAGS),
         ]
         for args, expected in cases:
             r = run_cli(*args, "--quiet", cwd=workdir)
@@ -160,6 +184,47 @@ class TestExitCodes:
         assert cli.main(["verify", "--help"]) == 0
         assert ("exact-cover limit of both doubling constants in --theorem 3.3 and 3.4"
                 in " ".join(capsys.readouterr().out.split()))
+
+
+class TestVerifyTable:
+    def test_table_covers_every_claim(self):
+        from test_report_digests import COMMANDS
+
+        verify = cli.build_parser()._subparsers._group_actions[0].choices["verify"]
+        choices = next(a.choices for a in verify._actions if a.dest == "theorem")
+        digested = {argv[2] for argv in COMMANDS if argv[0] == "verify"}
+        assert set(cli.THEOREMS) == set(choices) == digested
+
+    def test_every_flag_is_read_by_some_claim(self):
+        read = {name for check in cli.THEOREMS.values() for name in check.__kwdefaults__ or {}}
+        assert read == set(cli.VERIFY_FLAGS)
+
+    @pytest.mark.parametrize("theorem,flag,value", UNREAD_FLAGS)
+    def test_unread_flag_is_rejected_before_the_input_is_read(self, capsys, theorem, flag,
+                                                              value):
+        argv = ["verify", "missing.json", "--theorem", theorem, flag, value]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: --theorem {theorem} does not read {flag}\n"
+
+
+class TestRemetrizationCertificate:
+    """A closure that breaks D <= d^p is a certified violation (exit 2)."""
+
+    FINDING = "remetrization sandwich violated: D > d^p at pair (0, 1)"
+
+    @pytest.mark.parametrize("argv", [("remetrize",), ("remetrize", "--eps", "0.5"),
+                                      ("pipeline", "--alpha", "0.75")])
+    def test_command_exits_two(self, workdir, capsys, inflated_closure, argv):
+        assert cli.main([argv[0], str(workdir / "rb.json"), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"falsification finding: {self.FINDING}\n"
+
+    @pytest.mark.parametrize("theorem", ["2.2", "4.3"])
+    def test_verify_reports_violation(self, workdir, capsys, inflated_closure, theorem):
+        assert cli.main(["verify", str(workdir / "rb.json"), "--theorem", theorem]) == 2
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report == {"theorem": theorem, "holds": False, "detail": self.FINDING}
 
 
 class TestConverseReusesCertifiedNorms:

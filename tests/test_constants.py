@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -120,8 +118,7 @@ class TestReport:
         assert not rep.is_metric
         assert rep.witness_triple == ("a", "b", "c")
         assert rep.witness_chain == ("a", "b", "c")
-        obj = json.loads(rep.to_json())
-        assert set(obj) == {
+        assert set(rep.to_dict()) == {
             "relaxation_K", "polygonal_c", "is_metric", "witness_triple", "witness_chain",
         }
 

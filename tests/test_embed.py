@@ -8,35 +8,33 @@ from bmetric import (
     SemimetricSpace,
     assouad_embed,
     bmetric_assouad_pipeline,
-    conflict_coloring,
     converse_bound,
     chain_metric,
     euclidean_points,
-    greedy_net,
     random_bmetric,
     snowflaked_grid,
 )
-from bmetric.embed import NonMetricError
+from bmetric.embed import NonMetricError, _coloring, _net
 from conftest import path_graph_metric
 
 
 class TestGreedyNet:
     def test_radius_beyond_diameter_keeps_first_point(self):
         s = path_graph_metric(5)
-        assert greedy_net(s, 100.0) == [0]
+        assert _net(s.dist, 100.0) == [0]
 
     def test_radius_below_min_distance_keeps_everything(self):
         s = path_graph_metric(5)
-        assert greedy_net(s, 0.5) == [0, 1, 2, 3, 4]
+        assert _net(s.dist, 0.5) == [0, 1, 2, 3, 4]
 
     def test_hand_trace_on_line(self):
         s = path_graph_metric(5)
-        assert greedy_net(s, 2.0) == [0, 2, 4]
+        assert _net(s.dist, 2.0) == [0, 2, 4]
 
     def test_net_properties(self):
         s = euclidean_points(12, 2, seed=4)
         for r in (0.5, 1.0, 2.0):
-            net = greedy_net(s, r)
+            net = _net(s.dist, r)
             for a in net:
                 for b in net:
                     if a != b:
@@ -44,29 +42,24 @@ class TestGreedyNet:
             for x in range(s.n):
                 assert min(s.dist[x, z] for z in net) < r
 
-    def test_rejects_nonmetric_input(self, triple_114):
-        with pytest.raises(NonMetricError) as err:
-            greedy_net(triple_114, 1.0)
-        assert err.value.relaxation_K == 2.0
-
 
 class TestConflictColoring:
     def test_spread_net_gets_one_color(self):
         s = path_graph_metric(9)
         net = [0, 4, 8]
-        colors = conflict_coloring(s, net, radius=3.0)
+        colors = _coloring(s.dist, net, radius=3.0)
         assert set(colors.values()) == {0}
 
     def test_mutually_conflicting_points_get_distinct_colors(self):
         s = path_graph_metric(3)
-        colors = conflict_coloring(s, [0, 1, 2], radius=10.0)
+        colors = _coloring(s.dist, [0, 1, 2], radius=10.0)
         assert sorted(colors.values()) == [0, 1, 2]
 
     def test_same_color_points_are_separated(self):
         s = snowflaked_grid(6, 1.0)
-        net = greedy_net(s, 1.0)
+        net = _net(s.dist, 1.0)
         radius = 3.0
-        colors = conflict_coloring(s, net, radius)
+        colors = _coloring(s.dist, net, radius)
         for a in net:
             for b in net:
                 if a != b and colors[a] == colors[b]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bmetric.remetrize
 from bmetric import (
     chain_metric,
     epsilon_remetrize,
@@ -8,6 +9,7 @@ from bmetric import (
     polygonal_constant,
     random_bmetric,
 )
+from bmetric.certify import CertificateViolation
 from bmetric.remetrize import FrinkPreconditionError
 from conftest import path_graph_metric
 from oracles import minplus_closure
@@ -154,3 +156,30 @@ class TestEpsilonRemetrize:
         rem = epsilon_remetrize(triple_114, 0.1)
         rejected = [p for p, c in rem.search_trace if c > 1.1]
         assert min(rejected) - rem.p <= 1e-3
+
+
+class TestSandwichCertificate:
+    """Each remetrization checks D <= d^p <= sandwich_hi * D before returning."""
+
+    def test_chain_metric_rejects_closure_above_input(self, triple_114, inflated_closure):
+        with pytest.raises(CertificateViolation, match=r"D > d\^p at pair \(0, 1\)"):
+            chain_metric(triple_114)
+
+    @pytest.mark.parametrize("eps", [1.0, 0.1])
+    def test_epsilon_remetrize_rejects_closure_above_input(self, triple_114, inflated_closure,
+                                                           eps):
+        with pytest.raises(CertificateViolation, match=r"D > d\^p at pair \(0, 1\)"):
+            epsilon_remetrize(triple_114, eps)
+
+    def test_upper_side_names_its_pair(self, triple_114, monkeypatch):
+        monkeypatch.setattr(bmetric.remetrize, "_sandwich_hi", lambda powered, D: 1.0)
+        with pytest.raises(CertificateViolation, match=r"d\^p > 1.0 \* D at pair \(0, 2\)"):
+            chain_metric(triple_114)
+
+    def test_only_the_returned_exponent_is_certified(self, triple_114, monkeypatch):
+        calls = []
+        check = bmetric.remetrize.first_violation
+        monkeypatch.setattr(bmetric.remetrize, "first_violation",
+                            lambda a, b: calls.append(1) or check(a, b))
+        rem = epsilon_remetrize(triple_114, 0.1)
+        assert len(rem.search_trace) > 2 and len(calls) == 2

@@ -213,6 +213,24 @@ class TestIO:
         with pytest.raises(StructuralError):
             SemimetricSpace.from_csv("a,b\n0,x\ny,0\n")
 
+    @pytest.mark.parametrize("labels,matrix,message", [
+        ('"ab"', "[[0, 1], [1, 0]]", '"labels" must be an array'),
+        ('{"a": 0, "b": 1}', "[[0, 1], [1, 0]]", '"labels" must be an array'),
+        ("null", "[[0, 1], [1, 0]]", '"labels" must be an array'),
+        ('["a", "b"]', "[0, 1]", '"matrix" must be an array of arrays'),
+        ('["a", "b"]', '"01"', '"matrix" must be an array of arrays'),
+        ('["a", "b"]', "[[0, 1], 1]", '"matrix" must be an array of arrays'),
+        ('["a", "b"]', "[[0, 1], [1]]", "ragged matrix: rows of 1 to 2 entries"),
+        ('["a", "b"]', '[[0, "x"], [1, 0]]', "non-numeric matrix entry"),
+    ])
+    def test_malformed_json_says_what_is_wrong(self, labels, matrix, message):
+        with pytest.raises(StructuralError, match=message):
+            SemimetricSpace.from_json(f'{{"labels": {labels}, "matrix": {matrix}}}')
+
+    def test_ragged_csv_matrix(self):
+        with pytest.raises(StructuralError, match="ragged matrix: rows of 1 to 2 entries"):
+            SemimetricSpace.from_csv("a,b\n0,1\n1\n")
+
 
 def test_subspace_extracts_principal_block():
     s = example31(3)
