@@ -7,11 +7,9 @@ constructs certified low-distortion embeddings into Euclidean space.
 
 from .spaces import (
     SemimetricSpace,
-    GeneratorSpec,
     StructuralError,
     ValidationReport,
     validate,
-    generate,
     snowflake,
     example31,
     doubling_not_weak,
@@ -45,11 +43,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SemimetricSpace",
-    "GeneratorSpec",
     "StructuralError",
     "ValidationReport",
     "validate",
-    "generate",
     "snowflake",
     "example31",
     "doubling_not_weak",

@@ -8,6 +8,7 @@ kept distinct from ordinary errors on purpose).  An internal error is never 2.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from .embed import (
     converse_bound,
 )
 from .remetrize import chain_metric, epsilon_remetrize, frink_verify
-from .spaces import FAMILIES, GeneratorSpec, SemimetricSpace, StructuralError, generate, validate
+from .spaces import FAMILIES, SemimetricSpace, StructuralError, validate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -80,15 +81,28 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
+def _read_flags(args, option: str, names, reads) -> dict:
+    """The flags among names that args sets.  Each must be in reads, the
+    parameters of what --option chose: a flag it does not read is an error."""
+    flags = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    unread = [k for k in flags if k not in reads]
+    if unread:
+        raise ValueError(f"--{option} {getattr(args, option)} does not read "
+                         f"--{unread[0].replace('_', '-')}")
+    return flags
+
+
+GENERATE_FLAGS = ("n", "m", "K", "k", "p", "dim", "seed")
+
+
 def cmd_generate(args) -> int:
-    params = {}
-    for key in ("n", "m", "K", "k", "p", "dim"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    if args.seed is not None:
-        params["seed"] = args.seed
-    space = generate(GeneratorSpec(args.family, params))
+    make = FAMILIES[args.family]
+    reads = inspect.signature(make).parameters
+    params = _read_flags(args, "family", GENERATE_FLAGS, reads)
+    for name, param in reads.items():
+        if param.default is param.empty and name not in params:
+            raise ValueError(f"family {args.family!r} is missing parameter {name!r}")
+    space = make(**params)
     out = args.space_out
     if args.format == "csv":
         Path(out).write_text(space.to_csv())
@@ -196,10 +210,7 @@ VERIFY_FLAGS = ("eps", "p", "alpha", "exact_max")
 
 def cmd_verify(args) -> int:
     check = THEOREMS[args.theorem]
-    flags = {k: getattr(args, k) for k in VERIFY_FLAGS if getattr(args, k) is not None}
-    unread = [k for k in flags if k not in (check.__kwdefaults__ or {})]
-    if unread:
-        raise ValueError(f"--theorem {args.theorem} does not read --{unread[0].replace('_', '-')}")
+    flags = _read_flags(args, "theorem", VERIFY_FLAGS, check.__kwdefaults__ or {})
     space = _read_space(args.in_path)
     try:
         report = check(space, **flags)
@@ -220,7 +231,7 @@ def build_parser() -> _Parser:
         p.add_argument("--quiet", action="store_true")
 
     g = sub.add_parser("generate", help="write a generated space to a file")
-    g.add_argument("--family", required=True, choices=FAMILIES)
+    g.add_argument("--family", required=True, choices=tuple(FAMILIES))
     g.add_argument("--n", type=int)
     g.add_argument("--m", type=int)
     g.add_argument("--K", type=float)

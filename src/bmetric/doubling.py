@@ -135,8 +135,8 @@ def _cover(universe: int, cands: list[int], exact_limit: int) -> CoverResult:
         k = exact_min_cover(universe, cands)
         return CoverResult(k, k, True, size)
     upper = greedy_cover(universe, cands)
-    biggest = max((m.bit_count() for m in cands), default=0)
-    lower = max(1, -(-size // biggest)) if biggest else size
+    biggest = max(m.bit_count() for m in cands)
+    lower = -(-size // biggest)
     return CoverResult(lower, upper, False, size)
 
 

@@ -213,8 +213,6 @@ def _embed(space: SemimetricSpace, config: EmbeddingConfig) -> tuple[Embedding, 
     lt = math.log(tau)
     j_lo = math.floor(math.log(diam) / lt)
     j_hi = math.ceil(math.log(dmin) / lt)
-    if j_hi < j_lo:
-        j_hi = j_lo
     per_scale = []
     q = 1
     for j in range(j_lo, j_hi + 1):

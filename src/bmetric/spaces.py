@@ -11,7 +11,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -104,6 +105,15 @@ class SemimetricSpace:
             raise StructuralError('"labels" must be an array')
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise StructuralError('"matrix" must be an array of arrays')
+        bad = next((i for i, x in enumerate(labels) if type(x) is not str), None)
+        if bad is not None:
+            raise StructuralError(f"non-string label at index {bad}: {json.dumps(labels[bad])}")
+        # JSON numbers only: no strings, booleans or nulls (NaN and Infinity load as floats)
+        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+            i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row)
+                        if type(x) not in (int, float))
+            raise StructuralError(
+                f"non-numeric matrix entry at ({i}, {j}): {json.dumps(rows[i][j])}")
         return cls(tuple(labels), _float_matrix(rows))
 
     def to_csv(self) -> str:
@@ -176,26 +186,6 @@ def snowflake(space: SemimetricSpace, p: float) -> SemimetricSpace:
 
 # ---- generators ---------------------------------------------------------
 
-FAMILIES = (
-    "example31",
-    "doubling-not-weak",
-    "random-bmetric",
-    "snowflaked-grid",
-    "euclidean-points",
-)
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Parameterized description of a generated space; seed-deterministic."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; known: {', '.join(FAMILIES)}")
-
 
 def example31(n: int) -> SemimetricSpace:
     """Finite truncation {-n, ..., n} of the hub semimetric on the integers.
@@ -206,18 +196,10 @@ def example31(n: int) -> SemimetricSpace:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    points = list(range(-n, n + 1))
-    m = len(points)
-    d = np.zeros((m, m))
-    for a in range(m):
-        for b in range(m):
-            x, y = points[a], points[b]
-            if x == y:
-                d[a, b] = 0.0
-            elif x == 0 or y == 0:
-                d[a, b] = 1.0
-            else:
-                d[a, b] = float(abs(x - y))
+    points = np.arange(-n, n + 1)
+    d = np.abs(points[:, None] - points[None, :]).astype(float)
+    d[n, :] = d[:, n] = 1.0
+    d[n, n] = 0.0
     return SemimetricSpace(tuple(str(p) for p in points), d)
 
 
@@ -231,26 +213,19 @@ def doubling_not_weak(n: int, m: int) -> SemimetricSpace:
     """
     if n < 1 or m < 2:
         raise ValueError("need n >= 1 naturals and a star on m >= 2 points")
-    star_labels = [f"s{i}" for i in range(m)]
-    nat_labels = [str(i) for i in range(1, n + 1)]
-    total = m + n
-    d = np.zeros((total, total))
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            d[a, b] = 1.0 if (a == 0 or b == 0) else 2.0
-    for i in range(1, n + 1):
-        ai = m + i - 1
-        for j in range(1, n + 1):
-            if i != j:
-                d[ai, m + j - 1] = max(1.0 / i, 1.0 / j)
-        for b in range(m):
-            d[ai, b] = d[b, ai] = 1.0 / i
-    return SemimetricSpace(tuple(star_labels + nat_labels), d)
+    inv = 1.0 / np.arange(1, n + 1)
+    d = np.empty((m + n, m + n))
+    d[:m, :m] = 2.0
+    d[0, :m] = d[:m, 0] = 1.0
+    d[m:, m:] = np.maximum.outer(inv, inv)
+    d[m:, :m] = inv[:, None]
+    d[:m, m:] = inv[None, :]
+    np.fill_diagonal(d, 0.0)
+    labels = [f"s{i}" for i in range(m)] + [str(i) for i in range(1, n + 1)]
+    return SemimetricSpace(tuple(labels), d)
 
 
-def random_bmetric(n: int, K: float, seed: int) -> SemimetricSpace:
+def random_bmetric(n: int, K: float, seed: int = 0) -> SemimetricSpace:
     """Random space whose relaxation constant is guaranteed to be <= K.
 
     A random metric (shortest-path closure of random positive weights) is
@@ -282,7 +257,7 @@ def random_bmetric(n: int, K: float, seed: int) -> SemimetricSpace:
     raise RuntimeError("could not reach the requested relaxation target")
 
 
-def snowflaked_grid(k: int, p: float) -> SemimetricSpace:
+def snowflaked_grid(k: int, p: float = 1.0) -> SemimetricSpace:
     """k x k integer grid with Euclidean distances raised to the power p."""
     if k < 1:
         raise ValueError("grid side must be >= 1")
@@ -297,7 +272,7 @@ def snowflaked_grid(k: int, p: float) -> SemimetricSpace:
     return SemimetricSpace(labels, d)
 
 
-def euclidean_points(n: int, dim: int, seed: int) -> SemimetricSpace:
+def euclidean_points(n: int, dim: int = 2, seed: int = 0) -> SemimetricSpace:
     """n random Gaussian points in R^dim with Euclidean distances."""
     if n < 1 or dim < 1:
         raise ValueError("need n >= 1 points in dimension >= 1")
@@ -308,20 +283,12 @@ def euclidean_points(n: int, dim: int, seed: int) -> SemimetricSpace:
     return SemimetricSpace(tuple(f"p{i}" for i in range(n)), d)
 
 
-def generate(spec: GeneratorSpec) -> SemimetricSpace:
-    """Build the space described by spec; output is fully seed-determined."""
-    p = spec.params
-    try:
-        if spec.family == "example31":
-            return example31(int(p["n"]))
-        if spec.family == "doubling-not-weak":
-            return doubling_not_weak(int(p["n"]), int(p["m"]))
-        if spec.family == "random-bmetric":
-            return random_bmetric(int(p["n"]), float(p["K"]), int(p.get("seed", 0)))
-        if spec.family == "snowflaked-grid":
-            return snowflaked_grid(int(p["k"]), float(p.get("p", 1.0)))
-        if spec.family == "euclidean-points":
-            return euclidean_points(int(p["n"]), int(p.get("dim", 2)), int(p.get("seed", 0)))
-    except KeyError as exc:
-        raise ValueError(f"family {spec.family!r} is missing parameter {exc}") from exc
-    raise ValueError(f"unknown family {spec.family!r}")
+# Family name -> generator.  The parameters of each generator, with their
+# defaults, are the only `generate` flags that family reads.
+FAMILIES = {
+    "example31": example31,
+    "doubling-not-weak": doubling_not_weak,
+    "random-bmetric": random_bmetric,
+    "snowflaked-grid": snowflaked_grid,
+    "euclidean-points": euclidean_points,
+}

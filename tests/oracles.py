@@ -8,7 +8,9 @@ which cells or subsets the constants examine or skip, so they reuse the
 library's per-cell or per-subset cover.  ``loop_greedy_cover`` and
 ``loop_exact_min_cover`` are the library's earlier set cover, which
 returned the chosen indices, kept to check that the size-only one answers
-the same.
+the same.  ``loop_example31`` and ``loop_doubling_not_weak`` are the
+library's earlier pair-loop generators, kept to check that the array ones
+build the same matrices.
 """
 
 from itertools import combinations, permutations
@@ -362,3 +364,44 @@ def loop_validate(dist, tolerance=0.0):
         s2 = next(((i, j) for i in range(n) for j in range(i + 1, n)
                    if abs(dist[i, j] - dist[j, i]) > tolerance), None)
     return s1, s2
+
+
+def loop_example31(n):
+    """(labels, matrix) of the hub semimetric on {-n, ..., n} by a pair loop:
+    the library's generator before it built the matrix from arrays."""
+    points = list(range(-n, n + 1))
+    m = len(points)
+    d = np.zeros((m, m))
+    for a in range(m):
+        for b in range(m):
+            x, y = points[a], points[b]
+            if x == y:
+                d[a, b] = 0.0
+            elif x == 0 or y == 0:
+                d[a, b] = 1.0
+            else:
+                d[a, b] = float(abs(x - y))
+    return tuple(str(p) for p in points), d
+
+
+def loop_doubling_not_weak(n, m):
+    """(labels, matrix) of the m-point star joined with the naturals 1..n by
+    pair loops: the library's generator before it built the matrix from
+    arrays."""
+    star_labels = [f"s{i}" for i in range(m)]
+    nat_labels = [str(i) for i in range(1, n + 1)]
+    total = m + n
+    d = np.zeros((total, total))
+    for a in range(m):
+        for b in range(m):
+            if a == b:
+                continue
+            d[a, b] = 1.0 if (a == 0 or b == 0) else 2.0
+    for i in range(1, n + 1):
+        ai = m + i - 1
+        for j in range(1, n + 1):
+            if i != j:
+                d[ai, m + j - 1] = max(1.0 / i, 1.0 / j)
+        for b in range(m):
+            d[ai, b] = d[b, ai] = 1.0 / i
+    return tuple(star_labels + nat_labels), d

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import jsonschema
@@ -7,6 +8,7 @@ import bmetric.embed
 from bmetric import SemimetricSpace, bmetric_assouad_pipeline, cli, converse_bound
 from bmetric.certify import CertificateViolation
 from bmetric.schema import load_schema
+from bmetric.spaces import FAMILIES
 from cli_runner import EXIT_ONE_PREFIXES, run_cli
 
 
@@ -32,6 +34,14 @@ def workdir(tmp_path_factory):
     (d / "labels_obj.json").write_text('{"labels": {"a": 0, "b": 1}, "matrix": [[0, 1], [1, 0]]}')
     (d / "ragged.json").write_text('{"labels": ["a", "b"], "matrix": [[0, 1], [1]]}')
     (d / "ragged.csv").write_text("a,b\n0,1\n1\n")
+    for name, labels, matrix in (
+        ("labels_num.json", "[1, 2]", "[[0, 1], [1, 0]]"),
+        ("labels_null.json", '["a", null]', "[[0, 1], [1, 0]]"),
+        ("entry_str.json", '["a", "b"]', '[[0, "1.5"], ["1.5", 0]]'),
+        ("entry_bool.json", '["a", "b"]', "[[0, true], [true, 0]]"),
+        ("entry_null.json", '["a", "b"]', "[[0, null], [null, 0]]"),
+    ):
+        (d / name).write_text(f'{{"labels": {labels}, "matrix": {matrix}}}')
     return d
 
 
@@ -44,6 +54,15 @@ UNREAD_FLAGS = (
     ("3.5", "--p", "0.5"),
     ("4.1", "--exact-max", "4"),
     ("4.3", "--eps", "0.5"),
+)
+
+# One flag per family that the family does not read, after the flags it needs.
+UNREAD_GENERATE_FLAGS = (
+    ("snowflaked-grid", ("--k", "3"), "--n", "50"),
+    ("example31", ("--n", "4"), "--seed", "9"),
+    ("random-bmetric", ("--n", "5", "--K", "2"), "--dim", "2"),
+    ("euclidean-points", ("--n", "5"), "--K", "2"),
+    ("doubling-not-weak", ("--n", "3", "--m", "4"), "--p", "0.5"),
 )
 
 
@@ -66,6 +85,31 @@ class TestGenerate:
                     "--space-out", str(workdir / "nope.json"))
         assert r.returncode == 1
         assert r.stderr.startswith(EXIT_ONE_PREFIXES), r.stderr
+
+    def test_flags_are_the_generator_parameters(self):
+        generate = cli.build_parser()._subparsers._group_actions[0].choices["generate"]
+        actions = {a.dest: a for a in generate._actions}
+        assert actions["family"].choices == tuple(FAMILIES)
+        params = {name for make in FAMILIES.values() for name in inspect.signature(make).parameters}
+        flags = set(actions) - {"help", "family", "space_out", "format", "out", "quiet"}
+        assert flags == params == set(cli.GENERATE_FLAGS)
+
+    @pytest.mark.parametrize("family,needed,flag,value", UNREAD_GENERATE_FLAGS)
+    def test_unread_flag_is_rejected_before_writing(self, tmp_path, capsys, family, needed, flag,
+                                                     value):
+        out = tmp_path / "space.json"
+        argv = ["generate", "--family", family, *needed, flag, value, "--space-out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: --family {family} does not read {flag}\n"
+        assert not out.exists()
+
+    def test_missing_parameter_is_named(self, tmp_path, capsys):
+        out = tmp_path / "space.json"
+        argv = ["generate", "--family", "doubling-not-weak", "--n", "3", "--space-out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: family 'doubling-not-weak' is missing parameter 'm'\n")
+        assert not out.exists()
 
 
 class TestReports:
@@ -136,11 +180,22 @@ class TestExitCodes:
               "--space-out", "bad.json"), 1),
             (("generate", "--family", "random-bmetric", "--n", "5", "--K", "inf",
               "--space-out", "bad.json"), 1),
+            (("generate", "--family", "no-such-family", "--space-out", "bad.json"), 1),
+            (("generate", "--family", "doubling-not-weak", "--n", "3",
+              "--space-out", "bad.json"), 1),  # --m is required
+            # a flag the chosen family does not read
+            *((("generate", "--family", family, *needed, flag, value, "--space-out", "bad.json"), 1)
+              for family, needed, flag, value in UNREAD_GENERATE_FLAGS),
             # malformed space files
             (("constants", "labels_str.json"), 1),
             (("constants", "labels_obj.json"), 1),
             (("constants", "ragged.json"), 1),
             (("constants", "ragged.csv"), 1),
+            (("constants", "labels_num.json"), 1),
+            (("constants", "labels_null.json"), 1),
+            (("constants", "entry_str.json"), 1),
+            (("constants", "entry_bool.json"), 1),
+            (("constants", "entry_null.json"), 1),
             # a flag the chosen claim does not read
             *((("verify", "rb.json", "--theorem", theorem, flag, value), 1)
               for theorem, flag, value in UNREAD_FLAGS),

@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from bmetric import (
-    GeneratorSpec,
     SemimetricSpace,
     StructuralError,
+    cli,
     doubling_not_weak,
     euclidean_points,
     example31,
-    generate,
     random_bmetric,
     snowflake,
     snowflaked_grid,
     validate,
 )
 from bmetric.constants import max_triple_ratio
-from oracles import loop_validate
+from bmetric.spaces import FAMILIES
+from oracles import loop_doubling_not_weak, loop_example31, loop_validate
 
 
 def space(matrix, labels=None):
@@ -117,19 +117,32 @@ class TestGenerators:
     @pytest.mark.parametrize(
         "spec",
         [
-            GeneratorSpec("example31", {"n": 4}),
-            GeneratorSpec("doubling-not-weak", {"n": 3, "m": 5}),
-            GeneratorSpec("random-bmetric", {"n": 9, "K": 2.5, "seed": 11}),
-            GeneratorSpec("snowflaked-grid", {"k": 3, "p": 0.5}),
-            GeneratorSpec("euclidean-points", {"n": 7, "dim": 3, "seed": 2}),
+            ("example31", {"n": 4}),
+            ("doubling-not-weak", {"n": 3, "m": 5}),
+            ("random-bmetric", {"n": 9, "K": 2.5, "seed": 11}),
+            ("snowflaked-grid", {"k": 3, "p": 0.5}),
+            ("euclidean-points", {"n": 7, "dim": 3, "seed": 2}),
         ],
     )
     def test_generator_soundness(self, spec):
-        assert validate(generate(spec)).ok
+        family, params = spec
+        assert validate(FAMILIES[family](**params)).ok
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            GeneratorSpec("no-such-family")
+    def test_unknown_family_rejected(self, tmp_path):
+        out = tmp_path / "bad.json"
+        assert "no-such-family" not in FAMILIES
+        assert cli.main(["generate", "--family", "no-such-family", "--space-out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_array_generators_match_loops(self, n):
+        s = example31(n)
+        labels, d = loop_example31(n)
+        assert s.labels == labels and np.array_equal(s.dist, d)
+        for m in range(2, 21):
+            s = doubling_not_weak(n, m)
+            labels, d = loop_doubling_not_weak(n, m)
+            assert s.labels == labels and np.array_equal(s.dist, d), (n, m)
 
     def test_out_of_range_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -222,6 +235,12 @@ class TestIO:
         ('["a", "b"]', "[[0, 1], 1]", '"matrix" must be an array of arrays'),
         ('["a", "b"]', "[[0, 1], [1]]", "ragged matrix: rows of 1 to 2 entries"),
         ('["a", "b"]', '[[0, "x"], [1, 0]]', "non-numeric matrix entry"),
+        ("[1, 2]", "[[0, 1], [1, 0]]", "non-string label at index 0: 1"),
+        ('["a", null]', "[[0, 1], [1, 0]]", "non-string label at index 1: null"),
+        ('["a", "b"]', '[[0, "1.5"], [1.5, 0]]', r'non-numeric matrix entry at \(0, 1\): "1.5"'),
+        ('["a", "b"]', "[[0, 1], [true, 0]]", r"non-numeric matrix entry at \(1, 0\): true"),
+        ('["a", "b"]', "[[false, 1], [1, 0]]", r"non-numeric matrix entry at \(0, 0\): false"),
+        ('["a", "b"]', "[[0, null], [null, 0]]", r"non-numeric matrix entry at \(0, 1\): null"),
     ])
     def test_malformed_json_says_what_is_wrong(self, labels, matrix, message):
         with pytest.raises(StructuralError, match=message):
