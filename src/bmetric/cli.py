@@ -11,6 +11,7 @@ import argparse
 import inspect
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -158,10 +159,7 @@ def cmd_embed(args) -> int:
     emb = assouad_embed(space, config)
     if args.coords_out:
         Path(args.coords_out).write_text(emb.coords_csv())
-    _emit(args, {"manifest": _manifest(args, "embed", {
-        "alpha": args.alpha, "tau": args.tau,
-        "conflict_factor": args.conflict_factor, "phase_blocks": args.phase_blocks}),
-        "report": emb.to_dict()})
+    _emit(args, {"manifest": _manifest(args, "embed", asdict(config)), "report": emb.to_dict()})
     return EXIT_OK
 
 
@@ -180,7 +178,7 @@ def _epsilon(space, *, eps=1.0):
 
 def _sandwich_doubling(space, *, exact_max=DOUBLING_EXACT_LIMIT):
     rem = chain_metric(space)
-    alpha = max(1.0, rem.sandwich_hi)
+    alpha = rem.sandwich_hi
     check = sandwich_doubling_check(space, space.with_dist(rem.D), alpha, exact_max)
     return check.to_dict() | {"alpha": alpha}
 

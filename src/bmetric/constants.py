@@ -13,26 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import within
+from .schema import Report
 from .shortest_path import floyd_warshall, reconstruct_chain
 from .spaces import SemimetricSpace
 
 
 @dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(Report):
     relaxation_K: float
     polygonal_c: float
     is_metric: bool
     witness_triple: tuple[str, ...] | None
     witness_chain: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "relaxation_K": self.relaxation_K,
-            "polygonal_c": self.polygonal_c,
-            "is_metric": self.is_metric,
-            "witness_triple": list(self.witness_triple) if self.witness_triple else None,
-            "witness_chain": list(self.witness_chain),
-        }
 
 
 def max_triple_ratio(dist: np.ndarray) -> tuple[float, tuple[int, int, int] | None]:
@@ -83,8 +75,7 @@ def polygonal_constant(space: SemimetricSpace) -> tuple[float, list[int]]:
         ratio = np.where(mask, d / D, -np.inf)
     flat = int(np.argmax(ratio))
     i, j = np.unravel_index(flat, ratio.shape)
-    c = max(1.0, float(ratio[i, j]))
-    return c, reconstruct_chain(pred, int(i), int(j))
+    return float(ratio[i, j]), reconstruct_chain(pred, int(i), int(j))
 
 
 def constants_report(space: SemimetricSpace) -> ConstantsReport:

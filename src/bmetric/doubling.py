@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import first_violation
+from .schema import Report
 from .setcover import exact_min_cover, greedy_cover
 from .spaces import SemimetricSpace, snowflake
 
@@ -32,7 +33,7 @@ class SandwichError(ValueError):
 
 
 @dataclass(frozen=True)
-class DoublingReport:
+class DoublingReport(Report):
     lower: int
     upper: int
     exact: bool
@@ -47,20 +48,9 @@ class DoublingReport:
             raise ValueError("constant is a bracket; use .lower/.upper")
         return self.upper
 
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "witness_center": self.witness_center,
-            "witness_radius": self.witness_radius,
-            "critical_radii_examined": self.critical_radii_examined,
-            "convention": self.convention,
-        }
-
 
 @dataclass(frozen=True)
-class WeakDoublingReport:
+class WeakDoublingReport(Report):
     lower: int
     upper: int
     exact: bool
@@ -71,14 +61,6 @@ class WeakDoublingReport:
         if not self.exact:
             raise ValueError("constant is a bracket; use .lower/.upper")
         return self.upper
-
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "witness_set": list(self.witness_set),
-        }
 
 
 @dataclass(frozen=True)
@@ -92,25 +74,13 @@ class CoverResult:
 
 
 @dataclass(frozen=True)
-class BoundCheck:
-    base_lower: int
-    base_upper: int
-    transformed_lower: int
-    transformed_upper: int
+class BoundCheck(Report):
+    base: tuple[int, int]  # (lower, upper) doubling constant of the base space
+    transformed: tuple[int, int]  # the same for the transformed space
     exponent: int
     bound: float
     holds: bool
     exact: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "base": [self.base_lower, self.base_upper],
-            "transformed": [self.transformed_lower, self.transformed_upper],
-            "exponent": self.exponent,
-            "bound": self.bound,
-            "holds": self.holds,
-            "exact": self.exact,
-        }
 
 
 def ball(space: SemimetricSpace, center: int, radius: float) -> list[int]:
@@ -355,10 +325,8 @@ def _bound_check(
     other = doubling_constant(other_space, exact_limit)
     bound = float(base.lower) ** exponent
     return BoundCheck(
-        base_lower=base.lower,
-        base_upper=base.upper,
-        transformed_lower=other.lower,
-        transformed_upper=other.upper,
+        base=(base.lower, base.upper),
+        transformed=(other.lower, other.upper),
         exponent=exponent,
         bound=bound,
         holds=other.upper <= bound,

@@ -14,14 +14,15 @@ fixed doubling structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .certify import CertificateViolation, first_violation, within
 from .constants import relaxation_constant
 from .remetrize import epsilon_remetrize
-from .spaces import SemimetricSpace
+from .schema import Report
+from .spaces import SemimetricSpace, _pairwise_norms
 
 
 class NonMetricError(ValueError):
@@ -60,7 +61,7 @@ class EmbeddingConfig:
 class ScaleInfo:
     level: int
     radius: float
-    net_size: int
+    net: int  # number of net points
     colors: int
 
 
@@ -88,16 +89,8 @@ class Embedding:
             "L_lo": self.L_lo,
             "L_up": self.L_up,
             "injective": self.injective,
-            "config": {
-                "alpha": self.config.alpha,
-                "tau": self.config.tau,
-                "conflict_factor": self.config.conflict_factor,
-                "phase_blocks": self.config.phase_blocks,
-            },
-            "scales": [
-                {"level": s.level, "radius": s.radius, "net": s.net_size, "colors": s.colors}
-                for s in self.scales
-            ],
+            "config": asdict(self.config),
+            "scales": [asdict(s) for s in self.scales],
         }
 
     def coords_csv(self) -> str:
@@ -110,7 +103,6 @@ class Embedding:
 @dataclass(frozen=True)
 class PipelineResult:
     p: float
-    D: np.ndarray
     embedding: Embedding
     norms: np.ndarray  # pairwise distances of the embedded points, as certified
     alpha_prime: float
@@ -128,29 +120,12 @@ class PipelineResult:
 
 
 @dataclass(frozen=True)
-class ConverseReport:
+class ConverseReport(Report):
     alpha: float
     C_emp: float
     K_bound: float
     relaxation_K: float
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "C_emp": self.C_emp,
-            "K_bound": self.K_bound,
-            "relaxation_K": self.relaxation_K,
-            "holds": self.holds,
-        }
-
-
-def _pairwise_norms(coords: np.ndarray) -> np.ndarray:
-    """n×n Euclidean distances between rows, one row at a time: O(n·N) scratch."""
-    norms = np.empty((coords.shape[0], coords.shape[0]))
-    for i, row in enumerate(coords):
-        norms[i] = np.linalg.norm(row - coords, axis=-1)
-    return norms
 
 
 def _require_metric(space: SemimetricSpace) -> None:
@@ -286,7 +261,6 @@ def bmetric_assouad_pipeline(space: SemimetricSpace, alpha: float) -> PipelineRe
         )
     return PipelineResult(
         p=rem.p,
-        D=rem.D,
         embedding=emb,
         norms=norms,
         alpha_prime=alpha_prime,

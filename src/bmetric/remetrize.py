@@ -15,6 +15,7 @@ import numpy as np
 
 from .certify import CertificateViolation, first_violation, within
 from .constants import relaxation_constant
+from .schema import Report
 from .shortest_path import shortest_path_closure
 from .spaces import SemimetricSpace
 
@@ -54,19 +55,11 @@ class Remetrization:
 
 
 @dataclass(frozen=True)
-class FrinkCertificate:
+class FrinkCertificate(Report):
     relaxation_K: float
     worst_ratio: float
     bound: float
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "relaxation_K": self.relaxation_K,
-            "worst_ratio": self.worst_ratio,
-            "bound": self.bound,
-            "holds": self.holds,
-        }
 
 
 def _sandwich_hi(powered: np.ndarray, D: np.ndarray) -> float:

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -96,7 +97,7 @@ class SemimetricSpace:
     def from_json(cls, text: str) -> "SemimetricSpace":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a decode error, or an integer of over 4300 digits
             raise StructuralError(f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict) or "labels" not in obj or "matrix" not in obj:
             raise StructuralError('expected object with "labels" and "matrix"')
@@ -114,7 +115,13 @@ class SemimetricSpace:
                         if type(x) not in (int, float))
             raise StructuralError(
                 f"non-numeric matrix entry at ({i}, {j}): {json.dumps(rows[i][j])}")
-        return cls(tuple(labels), _float_matrix(rows))
+        try:
+            dist = _float_matrix(rows)
+        except OverflowError:  # the first integer past the largest float is to blame
+            i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row)
+                        if abs(x) > sys.float_info.max)
+            raise StructuralError(f"integer too large for a float at ({i}, {j})") from None
+        return cls(tuple(labels), dist)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -185,6 +192,14 @@ def snowflake(space: SemimetricSpace, p: float) -> SemimetricSpace:
 
 
 # ---- generators ---------------------------------------------------------
+
+
+def _pairwise_norms(coords: np.ndarray) -> np.ndarray:
+    """n×n Euclidean distances between rows, one row at a time: O(n·N) scratch."""
+    norms = np.empty((coords.shape[0], coords.shape[0]))
+    for i, row in enumerate(coords):
+        norms[i] = np.linalg.norm(row - coords, axis=-1)
+    return norms
 
 
 def example31(n: int) -> SemimetricSpace:
@@ -266,10 +281,8 @@ def snowflaked_grid(k: int, p: float = 1.0) -> SemimetricSpace:
     if not math.isfinite(p):
         raise ValueError(f"power must be finite, got {p}")
     pts = np.array([(i, j) for i in range(k) for j in range(k)], dtype=float)
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1) ** p
-    np.fill_diagonal(d, 0.0)
     labels = tuple(f"{i},{j}" for i in range(k) for j in range(k))
-    return SemimetricSpace(labels, d)
+    return SemimetricSpace(labels, _pairwise_norms(pts) ** p)
 
 
 def euclidean_points(n: int, dim: int = 2, seed: int = 0) -> SemimetricSpace:
@@ -278,9 +291,7 @@ def euclidean_points(n: int, dim: int = 2, seed: int = 0) -> SemimetricSpace:
         raise ValueError("need n >= 1 points in dimension >= 1")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, dim))
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    np.fill_diagonal(d, 0.0)
-    return SemimetricSpace(tuple(f"p{i}" for i in range(n)), d)
+    return SemimetricSpace(tuple(f"p{i}" for i in range(n)), _pairwise_norms(pts))
 
 
 # Family name -> generator.  The parameters of each generator, with their

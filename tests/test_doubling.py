@@ -327,13 +327,13 @@ class TestSnowflakeDoublingCheck:
     def test_identity_power(self, uniform6):
         check = snowflake_doubling_check(uniform6, 1.0)
         assert check.holds and check.exponent == 1
-        assert check.base_upper == check.transformed_upper
+        assert check.base[1] == check.transformed[1]
 
     def test_grid_square_root(self):
         check = snowflake_doubling_check(snowflaked_grid(4, 1.0), 0.5, exact_limit=16)
         assert check.exact and check.holds
         assert check.exponent == 2
-        assert check.bound == check.base_lower ** 2
+        assert check.bound == check.base[0] ** 2
 
     @pytest.mark.parametrize("p", [0.7, 0.5, 0.34])
     def test_random_spaces(self, p):

@@ -111,6 +111,10 @@ def test_chain_metric_is_sandwiched(space):
     mask = ~np.eye(space.n, dtype=bool)
     assert (rem.D[mask] <= space.dist[mask]).all()
     assert (space.dist[mask] <= rem.sandwich_hi * rem.D[mask] * (1 + 1e-12)).all()
+    # every ratio d/D is at least 1 in floating point, as the closure only
+    # takes minima starting from d, so neither constant needs clamping to 1
+    c, _ = polygonal_constant(space)
+    assert rem.sandwich_hi >= 1.0 and rem.sandwich_hi == c
 
 
 @given(semimetric_spaces(max_n=6), st.integers(min_value=0, max_value=5))

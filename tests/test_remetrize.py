@@ -46,7 +46,7 @@ class TestChainMetric:
     def test_sandwich_hi_equals_polygonal_constant(self):
         s = random_bmetric(9, 2.3, seed=8)
         c, _ = polygonal_constant(s)
-        assert chain_metric(s).sandwich_hi == pytest.approx(c, rel=1e-12)
+        assert chain_metric(s).sandwich_hi == c > 1.0
 
     def test_agrees_with_minplus_oracle(self):
         s = random_bmetric(11, 2.0, seed=12)

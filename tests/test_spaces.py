@@ -17,7 +17,12 @@ from bmetric import (
 )
 from bmetric.constants import max_triple_ratio
 from bmetric.spaces import FAMILIES
-from oracles import loop_doubling_not_weak, loop_example31, loop_validate
+from oracles import (
+    broadcast_pairwise_norms,
+    loop_doubling_not_weak,
+    loop_example31,
+    loop_validate,
+)
 
 
 def space(matrix, labels=None):
@@ -144,6 +149,17 @@ class TestGenerators:
             labels, d = loop_doubling_not_weak(n, m)
             assert s.labels == labels and np.array_equal(s.dist, d), (n, m)
 
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_norm_generators_match_broadcast(self, dim):
+        for n, seed in ((1, 0), (2, 1), (30, 2), (300, 3)):
+            pts = np.random.default_rng(seed).standard_normal((n, dim))
+            d = euclidean_points(n, dim, seed).dist
+            assert d.tobytes() == broadcast_pairwise_norms(pts).tobytes(), (n, seed)
+        for k, p in ((1, 1.0), (4, 1.0), (10, 0.5), (7, 0.34)):
+            pts = np.array([(i, j) for i in range(k) for j in range(k)], dtype=float)
+            d = snowflaked_grid(k, p).dist
+            assert d.tobytes() == (broadcast_pairwise_norms(pts) ** p).tobytes(), (k, p)
+
     def test_out_of_range_parameters_rejected(self):
         with pytest.raises(ValueError):
             example31(0)
@@ -241,6 +257,10 @@ class TestIO:
         ('["a", "b"]', "[[0, 1], [true, 0]]", r"non-numeric matrix entry at \(1, 0\): true"),
         ('["a", "b"]', "[[false, 1], [1, 0]]", r"non-numeric matrix entry at \(0, 0\): false"),
         ('["a", "b"]', "[[0, null], [null, 0]]", r"non-numeric matrix entry at \(0, 1\): null"),
+        ('["a", "b"]', f"[[0, 1], [{'9' * 401}, 0]]", r"integer too large for a float at \(1, 0\)"),
+        # Python 3.11 on refuses to decode integers of over 4300 digits
+        ('["a", "b"]', f"[[0, {'9' * 5000}], [1, 0]]",
+         r"invalid JSON: Exceeds the limit|integer too large for a float at \(0, 1\)"),
     ])
     def test_malformed_json_says_what_is_wrong(self, labels, matrix, message):
         with pytest.raises(StructuralError, match=message):
