@@ -22,8 +22,6 @@ from .remetrize import Remetrization, FrinkCertificate, chain_metric, frink_veri
 from .doubling import (
     DoublingReport,
     WeakDoublingReport,
-    ball,
-    cover_requirement,
     doubling_constant,
     weak_doubling_constant,
     snowflake_doubling_check,
@@ -63,8 +61,6 @@ __all__ = [
     "epsilon_remetrize",
     "DoublingReport",
     "WeakDoublingReport",
-    "ball",
-    "cover_requirement",
     "doubling_constant",
     "weak_doubling_constant",
     "snowflake_doubling_check",

@@ -11,7 +11,7 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -140,8 +140,7 @@ def cmd_doubling(args) -> int:
     space = _read_space(args.in_path)
     report: dict = {"doubling": doubling_constant(space, args.exact_max).to_dict()}
     if args.weak:
-        weak = weak_doubling_constant(space, min(args.exact_max, WEAK_EXACT_CAP))
-        report["weak"] = weak.to_dict()
+        report["weak"] = weak_doubling_constant(space, args.exact_max).to_dict()
     _emit(args, {"manifest": _manifest(args, "doubling",
                                        {"exact_max": args.exact_max, "weak": args.weak}),
                  "report": report})
@@ -150,12 +149,8 @@ def cmd_doubling(args) -> int:
 
 def cmd_embed(args) -> int:
     space = _read_space(args.in_path)
-    config = EmbeddingConfig(
-        alpha=args.alpha,
-        tau=args.tau,
-        conflict_factor=args.conflict_factor,
-        phase_blocks=args.phase_blocks,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(EmbeddingConfig)}
+    config = EmbeddingConfig(**{k: v for k, v in given.items() if v is not None})
     emb = assouad_embed(space, config)
     if args.coords_out:
         Path(args.coords_out).write_text(emb.coords_csv())
@@ -270,9 +265,10 @@ def build_parser() -> _Parser:
     e = sub.add_parser("embed", help="snowflake embedding of a metric space into R^N")
     e.add_argument("in_path")
     e.add_argument("--alpha", type=float, required=True)
-    e.add_argument("--tau", type=float, default=1.0 / 3.0)
-    e.add_argument("--conflict-factor", type=float, default=3.0)
-    e.add_argument("--phase-blocks", type=int, default=3)
+    # no defaults here: an EmbeddingConfig field the flags leave out keeps its own
+    e.add_argument("--tau", type=float)
+    e.add_argument("--conflict-factor", type=float)
+    e.add_argument("--phase-blocks", type=int)
     e.add_argument("--coords-out", default=None, help="write coordinates as CSV")
     common(e)
     e.set_defaults(func=cmd_embed)

@@ -20,8 +20,7 @@ from .setcover import exact_min_cover, greedy_cover
 from .spaces import SemimetricSpace, snowflake
 
 DOUBLING_EXACT_LIMIT = 15
-WEAK_EXACT_LIMIT = 12
-WEAK_EXACT_CAP = 20  # the CLI's weak exact limit is min(--exact-max, this)
+WEAK_EXACT_CAP = 20  # weak doubling is exact up to min(exact_limit, this) points
 
 
 class SandwichError(ValueError):
@@ -33,43 +32,39 @@ class SandwichError(ValueError):
 
 
 @dataclass(frozen=True)
-class DoublingReport(Report):
+class Bracket(Report):
+    """A constant known to lie in [lower, upper].  exact says the two bounds
+    were proven equal, not merely that they meet: a greedy cover that meets
+    the counting bound is still a bracket."""
+
     lower: int
     upper: int
     exact: bool
+
+    @property
+    def value(self) -> int:
+        if not self.exact:
+            raise ValueError("constant is a bracket; use .lower/.upper")
+        return self.upper
+
+
+@dataclass(frozen=True)
+class DoublingReport(Bracket):
     witness_center: str
     witness_radius: float
     critical_radii_examined: int
     convention: str = "open"
 
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise ValueError("constant is a bracket; use .lower/.upper")
-        return self.upper
-
 
 @dataclass(frozen=True)
-class WeakDoublingReport(Report):
-    lower: int
-    upper: int
-    exact: bool
+class WeakDoublingReport(Bracket):
     witness_set: tuple[str, ...]
 
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise ValueError("constant is a bracket; use .lower/.upper")
-        return self.upper
-
 
 @dataclass(frozen=True)
-class CoverResult:
+class CoverResult(Bracket):
     """Minimum number of half-radius balls covering one target ball."""
 
-    lower: int
-    upper: int
-    exact: bool
     target_size: int
 
 
@@ -246,32 +241,33 @@ def _threshold_adjacency(space: SemimetricSpace, threshold: float) -> list[int]:
 
 
 def weak_doubling_constant(
-    space: SemimetricSpace, exact_limit: int = WEAK_EXACT_LIMIT
+    space: SemimetricSpace, exact_limit: int = DOUBLING_EXACT_LIMIT
 ) -> WeakDoublingReport:
     """Worst-case minimum cover of a bounded set by sets of at most half
     its diameter.  Exact from the maximal cliques of each distance threshold
-    when n <= exact_limit, with the first subset in integer order (label i
-    is bit i) that reaches the value as witness; otherwise a bracket from
-    200 random subsets of at most exact_limit points (seed 0)."""
+    when n <= min(exact_limit, WEAK_EXACT_CAP), with the first subset in
+    integer order (label i is bit i) that reaches the value as witness;
+    otherwise a bracket from 200 random subsets of at most that many points
+    (seed 0)."""
     n = space.n
     d = space.dist
+    limit = min(exact_limit, WEAK_EXACT_CAP)
     if n == 1:
         return WeakDoublingReport(1, 1, True, (space.labels[0],))
     adj_cache: dict[float, list[int]] = {}
 
-    def adj_for(diam: float) -> list[int]:
-        t = diam / 2.0
+    def adj(t: float) -> list[int]:
         a = adj_cache.get(t)
         if a is None:
-            a = _threshold_adjacency(space, t)
-            adj_cache[t] = a
+            a = adj_cache[t] = _threshold_adjacency(space, t)
         return a
 
-    def subset_diam(bits: list[int]) -> float:
-        sub = d[np.ix_(bits, bits)]
-        return float(sub.max())
+    def own_cover(bits: list[int]) -> int:
+        # the cover of a subset by sets of at most half its own diameter
+        half = float(d[np.ix_(bits, bits)].max()) / 2.0
+        return _diam_cover_size(sum(1 << b for b in bits), adj(half))
 
-    if n <= exact_limit:
+    if n <= limit:
         # A set A of diameter s lies in a maximal clique C of {d <= s}; a cover
         # of C by sets of diameter <= s/2 covers A, and is no larger than C's
         # own cover since diam(C) <= s.  So the constant is the largest such
@@ -279,10 +275,10 @@ def weak_doubling_constant(
         full = (1 << n) - 1
         best, good = 1, []
         for s in np.unique(d[~np.eye(n, dtype=bool)]).tolist():
-            for clique in _maximal_cliques(_threshold_adjacency(space, s), full):
+            for clique in _maximal_cliques(adj(s), full):
                 if clique.bit_count() < best:
                     continue
-                cover = _diam_cover_size(clique, adj_for(s))
+                cover = _diam_cover_size(clique, adj(s / 2.0))
                 if cover > best:
                     best, good = cover, [clique]
                 elif cover == best:
@@ -292,24 +288,21 @@ def weak_doubling_constant(
         for wit in range(3, 1 << n):
             if wit.bit_count() < best or all(wit & ~g for g in good):
                 continue
-            bits = [i for i in range(n) if wit >> i & 1]
-            if _diam_cover_size(wit, adj_for(subset_diam(bits))) == best:
+            if own_cover([i for i in range(n) if wit >> i & 1]) == best:
                 break
         labels = tuple(space.labels[i] for i in range(n) if wit >> i & 1)
         return WeakDoublingReport(best, best, True, labels)
 
-    # sampling bracket: exact covers of random subsets of at most exact_limit
-    # points give a lower bound; n singletons cover any set, so n is an upper
-    # bound
-    if exact_limit < 2:
-        raise ValueError(f"sampled weak doubling needs exact_limit >= 2, got {exact_limit}")
+    # sampling bracket: exact covers of random subsets of at most limit points
+    # give a lower bound; n singletons cover any set, so n is an upper bound
+    if limit < 2:
+        raise ValueError(f"sampled weak doubling needs exact_limit >= 2, got {limit}")
     rng = np.random.default_rng(0)
     lower, wit_bits = 1, [0]
     for _ in range(200):
-        k = int(rng.integers(2, exact_limit + 1))
+        k = int(rng.integers(2, limit + 1))
         bits = sorted(rng.choice(n, size=k, replace=False).tolist())
-        amask = sum(1 << b for b in bits)
-        size = _diam_cover_size(amask, adj_for(subset_diam(bits)))
+        size = own_cover(bits)
         if size > lower:
             lower, wit_bits = size, bits
     labels = tuple(space.labels[i] for i in wit_bits)
@@ -323,7 +316,10 @@ def _bound_check(
     bound is at most the base lower bound to the given power."""
     base = doubling_constant(base_space, exact_limit)
     other = doubling_constant(other_space, exact_limit)
-    bound = float(base.lower) ** exponent
+    try:
+        bound = float(base.lower) ** exponent
+    except OverflowError:
+        raise ValueError(f"bound {base.lower}^{exponent} is too large for a float") from None
     return BoundCheck(
         base=(base.lower, base.upper),
         transformed=(other.lower, other.upper),
@@ -341,6 +337,8 @@ def snowflake_doubling_check(
     constant to at most its ceil(1/p)-th power."""
     if not 0 < p <= 1:
         raise ValueError(f"power must lie in (0, 1], got {p}")
+    if 1.0 / p == math.inf:
+        raise ValueError(f"exponent ceil(1/p) is too large for a float at p = {p}")
     return _bound_check(space, snowflake(space, p), math.ceil(1.0 / p), exact_limit)
 
 
@@ -365,7 +363,5 @@ def sandwich_doubling_check(
         pair = min(p for p in (low, high) if p)
         what = "D > d" if pair == low else "d > alpha*D"
         raise SandwichError(pair, f"{what} at pair {pair}")
-    N = 1
-    while 2.0 ** (N - 1) <= alpha:
-        N += 1
-    return _bound_check(space_d, space_D, N, exact_limit)
+    # alpha = m * 2^e with 1/2 <= m < 1, so 2^(e-1) <= alpha < 2^e and N = e + 1
+    return _bound_check(space_d, space_D, math.frexp(alpha)[1] + 1, exact_limit)

@@ -17,8 +17,13 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from bmetric import DoublingReport, WeakDoublingReport, cover_requirement
-from bmetric.doubling import _critical_radii, _diam_cover_size, _threshold_adjacency
+from bmetric import DoublingReport, WeakDoublingReport
+from bmetric.doubling import (
+    _critical_radii,
+    _diam_cover_size,
+    _threshold_adjacency,
+    cover_requirement,
+)
 
 
 def loop_max_triple_ratio(dist):

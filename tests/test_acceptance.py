@@ -17,7 +17,6 @@ from bmetric import (
     bmetric_assouad_pipeline,
     chain_metric,
     converse_bound,
-    cover_requirement,
     epsilon_remetrize,
     euclidean_points,
     example31,
@@ -30,6 +29,7 @@ from bmetric import (
     snowflaked_grid,
     weak_doubling_constant,
 )
+from bmetric.doubling import cover_requirement
 from bmetric.schema import load_schema
 from cli_runner import EXIT_ONE_PREFIXES, run_cli
 from oracles import loop_floyd_warshall, minplus_closure, polygonal_by_enumeration, triple_loop_relaxation

@@ -5,7 +5,15 @@ import jsonschema
 import pytest
 
 import bmetric.embed
-from bmetric import SemimetricSpace, bmetric_assouad_pipeline, cli, converse_bound
+from bmetric import (
+    SemimetricSpace,
+    bmetric_assouad_pipeline,
+    cli,
+    converse_bound,
+    example31,
+    random_bmetric,
+    weak_doubling_constant,
+)
 from bmetric.certify import CertificateViolation
 from bmetric.schema import load_schema
 from bmetric.spaces import FAMILIES
@@ -168,6 +176,9 @@ class TestExitCodes:
             (("verify", "nan.json", "--theorem", "4.3"), 1),
             (("pipeline", "inf.json", "--alpha", "0.75"), 1),
             (("doubling", "rb.json", "--weak", "--exact-max", "1"), 1),  # cannot sample subsets
+            # a bound C^ceil(1/p) past the largest float
+            (("verify", "rb.json", "--theorem", "3.3", "--p", "0.0001"), 1),
+            (("verify", "rb.json", "--theorem", "3.3", "--p", "1e-320"), 1),
             # NaN and infinite numeric parameters
             (("remetrize", "rb.json", "--eps", "nan"), 1),
             (("remetrize", "rb.json", "--eps", "inf"), 1),
@@ -230,6 +241,21 @@ class TestExitCodes:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == (
             f"error: sampled weak doubling needs exact_limit >= 2, got {limit}\n")
+
+    @pytest.mark.parametrize("space", [
+        random_bmetric(13, 2.0, seed=3), random_bmetric(9, 2.0, seed=0), example31(8),
+    ], ids=["bmetric-13", "bmetric-9", "example31-17"])
+    def test_weak_report_is_the_library_default(self, tmp_path, capsys, space):
+        path = tmp_path / "space.json"
+        path.write_text(space.to_json())
+        assert cli.main(["doubling", str(path), "--weak"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["weak"] == json.loads(json.dumps(weak_doubling_constant(space).to_dict()))
+
+    def test_embed_defaults_are_the_config_defaults(self):
+        # the parser leaves out what is not given, so EmbeddingConfig's defaults apply
+        args = cli.build_parser().parse_args(["embed", "s.json", "--alpha", "0.5"])
+        assert (args.tau, args.conflict_factor, args.phase_blocks) == (None, None, None)
 
     def test_weak_help_names_its_exact_limit(self, capsys):
         assert cli.main(["doubling", "--help"]) == 0

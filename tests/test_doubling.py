@@ -3,9 +3,7 @@ import pytest
 
 from bmetric import (
     SemimetricSpace,
-    ball,
     chain_metric,
-    cover_requirement,
     doubling_constant,
     doubling_not_weak,
     euclidean_points,
@@ -17,7 +15,14 @@ from bmetric import (
     weak_doubling_constant,
 )
 from bmetric import doubling as doubling_mod
-from bmetric.doubling import SandwichError
+from bmetric.doubling import (
+    CoverResult,
+    DoublingReport,
+    SandwichError,
+    WeakDoublingReport,
+    ball,
+    cover_requirement,
+)
 from conftest import path_graph_metric
 from oracles import (
     brute_min_cover,
@@ -27,6 +32,18 @@ from oracles import (
     loop_doubling_constant,
     loop_weak_doubling_constant,
 )
+
+
+@pytest.mark.parametrize("make", [
+    lambda lower, upper, exact: DoublingReport(lower, upper, exact, "a", 1.0, 3),
+    lambda lower, upper, exact: WeakDoublingReport(lower, upper, exact, ("a", "b")),
+    lambda lower, upper, exact: CoverResult(lower, upper, exact, 7),
+], ids=["doubling", "weak", "cover"])
+def test_value_is_the_upper_of_an_exact_bracket(make):
+    assert make(4, 4, True).value == 4
+    for lower, upper in ((3, 5), (4, 4)):  # a greedy cover can meet the counting bound
+        with pytest.raises(ValueError, match="bracket"):
+            make(lower, upper, False).value
 
 
 class TestBall:
@@ -317,6 +334,19 @@ class TestWeakDoubling:
         assert weak_doubling_constant(euclidean_points(14, 2, seed=1), exact_limit=14).exact
         assert calls <= 1000
 
+    def test_default_exact_limit_is_the_cli_default(self):
+        # 13 points: exact, as `doubling --weak` reports it; a limit of 12
+        # would give the sampled bracket [5, 13]
+        rep = weak_doubling_constant(random_bmetric(13, 2.0, seed=3))
+        assert (rep.lower, rep.upper, rep.exact) == (5, 5, True)
+        assert rep == weak_doubling_constant(random_bmetric(13, 2.0, seed=3), exact_limit=15)
+
+    def test_exact_limit_is_capped(self):
+        # 21 points: above the cap, so a limit of 30 samples like a limit of 20
+        capped = weak_doubling_constant(example31(10), exact_limit=20)
+        assert not capped.exact
+        assert weak_doubling_constant(example31(10), exact_limit=30) == capped
+
     def test_doubling_not_weak_family_grows(self):
         small = weak_doubling_constant(doubling_not_weak(2, 3)).value
         large = weak_doubling_constant(doubling_not_weak(2, 7)).value
@@ -345,6 +375,14 @@ class TestSnowflakeDoublingCheck:
         with pytest.raises(ValueError):
             snowflake_doubling_check(uniform6, 1.5)
 
+    @pytest.mark.parametrize("p,message", [
+        (1e-4, r"bound 6\^10000 is too large"),  # the base constant is exactly 6
+        (1e-320, r"exponent ceil\(1/p\) is too large for a float at p = 1e-320"),
+    ])
+    def test_overflowing_bound_is_a_value_error(self, uniform6, p, message):
+        with pytest.raises(ValueError, match=message):
+            snowflake_doubling_check(uniform6, p)
+
 
 class TestSandwichDoublingCheck:
     def test_same_space(self):
@@ -372,6 +410,26 @@ class TestSandwichDoublingCheck:
         with pytest.raises(SandwichError) as err:
             sandwich_doubling_check(s, inflated, alpha=2.0)
         assert err.value.pair == (0, 1)
+
+    @pytest.mark.parametrize("alpha", [
+        1.0, 1.5, np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0), 4.0, 7.5, 1e10, 2.0 ** 1022,
+    ])
+    def test_exponent_is_the_smallest_n_with_alpha_below_two_to_n_minus_one(self, alpha):
+        N = 1
+        while 2.0 ** (N - 1) <= alpha:
+            N += 1
+        one = SemimetricSpace(("a",), np.zeros((1, 1)))  # constant 1: no bound overflows
+        assert sandwich_doubling_check(one, one, float(alpha)).exponent == N
+
+    def test_exponent_past_the_largest_power_of_two(self):
+        # 2^1024 overflows a float; the exponent does not, and the bound only
+        # does when the base constant exceeds 1
+        one = SemimetricSpace(("a",), np.zeros((1, 1)))
+        check = sandwich_doubling_check(one, one, 2.0 ** 1023)
+        assert (check.exponent, check.bound, check.holds) == (1025, 1.0, True)
+        s = euclidean_points(4, 2, seed=0)
+        with pytest.raises(ValueError, match=r"\^1025 is too large for a float"):
+            sandwich_doubling_check(s, s, 2.0 ** 1023)
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     def test_rejects_nonfinite_alpha(self, alpha):

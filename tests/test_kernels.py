@@ -20,10 +20,8 @@ import bmetric.shortest_path
 from bmetric import (
     EmbeddingConfig,
     assouad_embed,
-    ball,
     bmetric_assouad_pipeline,
     chain_metric,
-    cover_requirement,
     doubling_constant,
     epsilon_remetrize,
     euclidean_points,
@@ -36,7 +34,13 @@ from bmetric import (
     weak_doubling_constant,
 )
 from bmetric.constants import max_triple_ratio
-from bmetric.doubling import _critical_radii, _row_masks, _threshold_adjacency
+from bmetric.doubling import (
+    _critical_radii,
+    _row_masks,
+    _threshold_adjacency,
+    ball,
+    cover_requirement,
+)
 from bmetric.embed import _pairwise_norms
 from bmetric.shortest_path import floyd_warshall, shortest_path_closure
 from oracles import (

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bmetric import (
     SemimetricSpace,
     chain_metric,
-    cover_requirement,
     doubling_constant,
     euclidean_points,
     polygonal_constant,
@@ -18,6 +17,7 @@ from bmetric import (
     validate,
     weak_doubling_constant,
 )
+from bmetric.doubling import cover_requirement
 from bmetric.setcover import exact_min_cover, greedy_cover
 from oracles import (
     cell_doubling_constant,
