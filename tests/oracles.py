@@ -10,7 +10,8 @@ library's per-cell or per-subset cover.  ``loop_greedy_cover`` and
 returned the chosen indices, kept to check that the size-only one answers
 the same.  ``loop_example31`` and ``loop_doubling_not_weak`` are the
 library's earlier pair-loop generators, kept to check that the array ones
-build the same matrices.
+build the same matrices, and ``broadcast_closure`` is the library's earlier
+closure kernel.
 """
 
 from itertools import combinations, permutations
@@ -83,6 +84,15 @@ def polygonal_by_enumeration(dist):
             if i != j:
                 best = max(best, dist[i, j] / enumerate_chain_min(dist, i, j))
     return best
+
+
+def broadcast_closure(dist):
+    """Shortest-chain closure by in-place Floyd–Warshall, with a broadcast
+    outer sum for each pivot's candidate sums."""
+    D = np.array(dist, dtype=float)
+    for k in range(D.shape[0]):
+        np.minimum(D, D[:, k, None] + D[k, None, :], out=D)
+    return D
 
 
 def loop_floyd_warshall(dist):

@@ -9,9 +9,12 @@ doubling covers off the list-valued `ball()`.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bmetric.constants
 import bmetric.doubling
@@ -42,8 +45,9 @@ from bmetric.doubling import (
     cover_requirement,
 )
 from bmetric.embed import _pairwise_norms
-from bmetric.shortest_path import floyd_warshall, shortest_path_closure
+from bmetric.shortest_path import _pivot_sums, floyd_warshall, shortest_path_closure
 from oracles import (
+    broadcast_closure,
     broadcast_pairwise_norms,
     brute_min_cover,
     loop_ball_mask,
@@ -74,6 +78,10 @@ MASK_FAMILIES = {
     **{f"hub-{2 * m + 1}": (lambda m=m: example31(m)) for m in (3, 6, 32)},
 }
 POWERS = (1.0, 0.5, 0.3)
+# OpenBLAS takes other code paths at its block edges, so the sizes straddle them
+BLAS_EDGE_SIZES = (1, 2, 3, 4, 5, 8, 9, 17, 33, 65, 129)
+# smallest subnormal, subnormal, normal, and large enough that sums overflow
+PIVOT_SCALES = (5e-324, 1e-310, 1e-8, 1.0, 1e300, 1.7e308)
 
 
 def _space(family, p):
@@ -91,6 +99,59 @@ class TestClosure:
         assert D.tobytes() == D_fw.tobytes()
         assert D.tobytes() == loop_floyd_warshall(d).tobytes()
         assert np.array_equal(pred, loop_predecessors(d))
+
+    @pytest.mark.parametrize("p", (1.0, 0.5))
+    @pytest.mark.parametrize("n", BLAS_EDGE_SIZES)
+    def test_blas_edge_sizes_match_broadcast_kernel(self, n, p):
+        d = random_bmetric(n, 2.0, seed=n).dist ** p
+        expected = broadcast_closure(d).tobytes()
+        D_fw, pred = floyd_warshall(d)
+        assert shortest_path_closure(d).tobytes() == expected
+        assert D_fw.tobytes() == expected
+        if n <= 65:
+            assert np.array_equal(pred, loop_predecessors(d))
+
+    @pytest.mark.parametrize("eps", (0.5, 1.0))
+    def test_search_trace_matches_broadcast_kernel(self, eps):
+        # bmetric-a of the chain-pipeline benchmark at seed 0; eps 0.5 is its
+        # remetrize job and 1.0 the pipeline's
+        seed = int(np.random.SeedSequence([0, 0]).generate_state(1)[0])
+        s = random_bmetric(300, 2.0, seed)
+        for p, _hi in epsilon_remetrize(s, eps).search_trace:
+            d = s.dist ** p
+            expected = broadcast_closure(d).tobytes()
+            assert shortest_path_closure(d).tobytes() == expected, p
+            assert floyd_warshall(d)[0].tobytes() == expected, p
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=140),
+        scale=st.sampled_from(PIVOT_SCALES),
+        infs=st.integers(min_value=0, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_pivot_sums_are_the_exact_broadcast_sums(self, n, scale, infs, seed):
+        rng = np.random.default_rng(seed)
+        M = scale * rng.uniform(0.0, 1.0, size=(n, n))
+        M.flat[rng.integers(0, n * n, size=infs)] = np.inf
+        M.flat[rng.integers(0, n * n, size=2)] = 5e-324
+        with np.errstate(over="ignore"):
+            for k, via in enumerate(_pivot_sums(M)):
+                assert via.tobytes() == (M[:, k, None] + M[k, None, :]).tobytes(), k
+                # the buffer is reused: the next product must not read it
+                via[...] = np.nan
+                via[::2] = np.inf
+
+    @pytest.mark.parametrize("n", (4, 5, 8, 300))
+    def test_inf_entry_raises_no_warning(self, n):
+        d = np.array(random_bmetric(n, 2.0, seed=n).dist)
+        d[0, 1:] = d[1:, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            D = shortest_path_closure(d)
+            D_fw, _pred = floyd_warshall(d)
+        assert D.tobytes() == D_fw.tobytes() == broadcast_closure(d).tobytes()
+        assert np.isinf(D[0, 1:]).all()
 
     def test_input_is_not_modified(self):
         d = np.array(random_bmetric(9, 2.0, seed=1).dist)
@@ -149,6 +210,13 @@ class TestQuadraticMemory:
     def test_pairwise_norms(self):
         coords = np.random.default_rng(0).normal(size=(self.N, self.N // 4))
         assert _peak_float64s(_pairwise_norms, coords) <= 8 * self.N ** 2
+
+    # D and the pivot-sum buffer; floyd_warshall adds pred, its update mask
+    # and the n×n copy numpy makes of pred's row k, which overlaps pred
+    @pytest.mark.parametrize("closure, ceiling", [(shortest_path_closure, 3), (floyd_warshall, 5)])
+    def test_closure(self, closure, ceiling):
+        d = random_bmetric(self.N, 2.0, seed=0).dist
+        assert _peak_float64s(closure, d) <= ceiling * self.N ** 2
 
 
 class TestChainPathNeedsNoPredecessors:
