@@ -3,7 +3,8 @@
 The relaxation constant is the worst ratio d(x,z) / (d(x,y) + d(y,z)) over
 ordered triples of distinct points; the relaxed-polygonal constant is the
 worst ratio of a distance to its shortest-chain replacement.  Both are 1
-exactly when the space is a metric space.
+exactly when the space is a metric space.  The first divides d by its
+min-plus square, the second by its closure, both from `shortest_path`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .certify import within
 from .schema import Report
-from .shortest_path import floyd_warshall, reconstruct_chain
+from .shortest_path import floyd_warshall, min_plus_square, reconstruct_chain
 from .spaces import SemimetricSpace
 
 
@@ -27,38 +28,32 @@ class ConstantsReport(Report):
     witness_chain: tuple[str, ...]
 
 
-def max_triple_ratio(dist: np.ndarray) -> tuple[float, tuple[int, int, int] | None]:
-    """Largest d[i,k] / (d[i,j] + d[j,k]) over ordered triples of distinct
-    indices, with the lexicographically smallest attaining triple."""
-    n = dist.shape[0]
-    if n <= 2:
-        return 0.0, None
-    # One n×n slab ratio[j, k] per first index i: O(n²) memory.  argmax over
-    # the slab maxima, then within the slab, finds the first maximum in C
-    # order of the n×n×n array, i.e. the lexicographically smallest triple.
-    maxima = np.empty(n)
-    where = np.empty(n, dtype=np.intp)
-    for i in range(n):
-        ratio = dist + dist[i, :, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(dist[i], ratio, out=ratio)
-        ratio[i, :] = -np.inf
-        ratio[:, i] = -np.inf
-        np.fill_diagonal(ratio, -np.inf)
-        where[i] = np.argmax(ratio)
-        maxima[i] = ratio.flat[where[i]]
-    i = int(np.argmax(maxima))
-    j, k = divmod(int(where[i]), n)
-    return float(maxima[i]), (i, j, k)
-
-
 def relaxation_constant(space: SemimetricSpace) -> tuple[float, tuple[int, int, int] | None]:
     """Smallest K >= 1 such that d(x,z) <= K (d(x,y) + d(y,z)) for all
-    triples, with the witness triple when K > 1 (None when clamped to 1)."""
-    ratio, wit = max_triple_ratio(space.dist)
-    if ratio <= 1.0:
+    triples, with the lexicographically smallest witness triple when K > 1
+    (None when clamped to 1)."""
+    d, n = space.dist, space.n
+    # Correctly rounded division by a positive number is monotone, so
+    # d[i,k] / min_j (d[i,j] + d[j,k]) is max_j d[i,k] / (d[i,j] + d[j,k])
+    # exactly; j = i and j = k give the ratio 1, which is the clamp.
+    ratio = min_plus_square(d)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the diagonal
+        np.divide(d, ratio, out=ratio)
+    np.fill_diagonal(ratio, -np.inf)
+    flat = int(np.argmax(ratio))
+    K = float(ratio.flat[flat])
+    if K <= 1.0:
         return 1.0, None
-    return ratio, wit
+    # The witness's i is the first row holding K, and (j, k) the first K in
+    # C order of its slab d[i,k] / (d[i,j] + d[j,k]).  Entries with j or k
+    # equal to i, or j = k, are at most 1 < K, except 0/0 at j = k = i.
+    i = flat // n
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(d, d[i, :, None], out=ratio)
+        np.divide(d[i], ratio, out=ratio)
+    ratio[i, i] = -np.inf
+    j, k = divmod(int(np.argmax(ratio)), n)
+    return K, (i, j, k)
 
 
 def polygonal_constant(space: SemimetricSpace) -> tuple[float, list[int]]:

@@ -119,12 +119,12 @@ def cover_requirement(
     return _cover(universe, cands, exact_limit)
 
 
-def _critical_radii(row: np.ndarray, doubled: np.ndarray) -> list[float]:
+def _critical_radii(row: np.ndarray, doubled: np.ndarray) -> np.ndarray:
     """Radii at which either the target ball (center distances row) or some
     half-radius ball (all distances doubled) can change contents: midpoints
     between consecutive breakpoints plus one value past the largest."""
     vals = np.unique(np.concatenate(([0.0], row, doubled)))
-    return ((vals[:-1] + vals[1:]) / 2.0).tolist() + [float(vals[-1]) + 1.0]
+    return np.append((vals[:-1] + vals[1:]) / 2.0, vals[-1] + 1.0)
 
 
 def doubling_constant(
@@ -157,7 +157,7 @@ def doubling_constant(
     halves: dict[int, list[int]] = {}  # level -> packed rows of dist < r/2
     for x in range(space.n):
         row = space.dist[x]
-        radii = np.array(_critical_radii(row, doubled))
+        radii = _critical_radii(row, doubled)
         radii = radii[np.searchsorted(radii, np.unique(row), side="right")]
         targets = _row_masks(row < radii[:, None])
         levels = np.searchsorted(dists, radii / 2.0).tolist()

@@ -1,12 +1,12 @@
-"""All-pairs shortest-path closure of a distance matrix.
+"""Dense min-plus kernels on a distance matrix, in O(n²) memory.
 
-`shortest_path_closure` is the kernel: an in-place Floyd–Warshall over one
-n×n array, plus one reused n×n buffer of pivot sums, O(n²) memory.  Each
-pivot's sums D[i, k] + D[k, j] come from one BLAS product
-[D[:, k], 1] @ [1; D[k, :]]: a broadcast outer sum pays numpy's per-row
-overhead, which costs more than the n² additions.  `floyd_warshall` also
-records predecessors, for `polygonal_constant` alone, which reports a
-witness chain.
+Each runs on `_pivot_sums`: one reused n×n buffer of each pivot's sums
+D[i, k] + D[k, j], from one BLAS product [D[:, k], 1] @ [1; D[k, :]] (a
+broadcast outer sum pays numpy's per-row overhead, which costs more than
+the n² additions).  `shortest_path_closure` is an in-place Floyd–Warshall;
+`floyd_warshall` adds predecessors, for `polygonal_constant`'s witness
+chain; `min_plus_square` is one step without the in-place update, for the
+relaxation constant.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ def _pivot_sums(D: np.ndarray) -> Iterator[np.ndarray]:
     c·1 + 1·r, and c·1 and 1·r are exact, so BLAS rounds the one sum c + r
     as broadcasting does, in either order, with or without FMA.  At some
     sizes BLAS raises the `invalid` flag when an entry is inf although the
-    sums it returns are exact, so that flag is ignored around the product.
+    sums it returns are exact, so that flag is ignored around the product,
+    as is `overflow`: a sum past the largest float is inf, which no minimum
+    keeps.
     """
     n = D.shape[0]
     lhs = np.ones((n, 2))
@@ -33,7 +35,7 @@ def _pivot_sums(D: np.ndarray) -> Iterator[np.ndarray]:
     for k in range(n):
         lhs[:, 0] = D[:, k]
         rhs[1] = D[k]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             np.matmul(lhs, rhs, out=via)
         yield via
 
@@ -44,6 +46,16 @@ def shortest_path_closure(dist: np.ndarray) -> np.ndarray:
     for via in _pivot_sums(D):
         np.minimum(D, via, out=D)
     return D
+
+
+def min_plus_square(dist: np.ndarray) -> np.ndarray:
+    """min(dist[i, k], min over j of dist[i, j] + dist[j, k]) for each pair,
+    as a new float array; with a zero diagonal, the pivots j = i and j = k
+    already give dist[i, k], so this is the min-plus square of dist."""
+    S = np.array(dist, dtype=float)
+    for via in _pivot_sums(dist):
+        np.minimum(S, via, out=S)
+    return S
 
 
 def floyd_warshall(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,7 +73,8 @@ def floyd_warshall(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         better = via < D
         if better.any():
             np.copyto(D, via, where=better)
-            np.copyto(pred, pred[k, None, :], where=better)
+            # a view of row k overlaps pred, so numpy would copy all of pred
+            np.copyto(pred, pred[k].copy(), where=better)
     return D, pred
 
 

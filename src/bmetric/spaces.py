@@ -14,7 +14,6 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -70,15 +69,6 @@ class SemimetricSpace:
         if self.n < 2:
             return 0.0
         return float(self.offdiag().min())
-
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
-
-    def subspace(self, indices: Sequence[int]) -> "SemimetricSpace":
-        idx = list(indices)
-        return SemimetricSpace(
-            tuple(self.labels[i] for i in idx), self.dist[np.ix_(idx, idx)]
-        )
 
     def rescale(self, factor: float) -> "SemimetricSpace":
         return SemimetricSpace(self.labels, self.dist * factor)
@@ -255,7 +245,7 @@ def random_bmetric(n: int, K: float, seed: int = 0) -> SemimetricSpace:
         raise ValueError("relaxation target K must be >= 1")
     if not math.isfinite(K):
         raise ValueError(f"relaxation target K must be finite, got {K}")
-    from .constants import max_triple_ratio  # late import: constants depends on spaces
+    from .constants import relaxation_constant  # late import: constants depends on spaces
 
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.5, 2.0, size=(n, n))
@@ -264,10 +254,9 @@ def random_bmetric(n: int, K: float, seed: int = 0) -> SemimetricSpace:
     base = shortest_path_closure(w)
     q = 1.0 + math.log2(K)
     for _ in range(64):
-        d = base ** q
-        ratio, _wit = max_triple_ratio(d)
-        if ratio <= K:
-            return SemimetricSpace(tuple(f"p{i}" for i in range(n)), d)
+        space = SemimetricSpace(tuple(f"p{i}" for i in range(n)), base ** q)
+        if relaxation_constant(space)[0] <= K:
+            return space
         q = 1.0 + (q - 1.0) * 0.9
     raise RuntimeError("could not reach the requested relaxation target")
 

@@ -10,8 +10,9 @@ library's per-cell or per-subset cover.  ``loop_greedy_cover`` and
 returned the chosen indices, kept to check that the size-only one answers
 the same.  ``loop_example31`` and ``loop_doubling_not_weak`` are the
 library's earlier pair-loop generators, kept to check that the array ones
-build the same matrices, and ``broadcast_closure`` is the library's earlier
-closure kernel.
+build the same matrices.  ``broadcast_closure`` and
+``slab_max_triple_ratio`` are the library's earlier closure and triple-scan
+kernels.
 """
 
 from itertools import combinations, permutations
@@ -41,6 +42,29 @@ def loop_max_triple_ratio(dist):
                 if ratio > best:
                     best, wit = ratio, (i, j, k)
     return best, wit
+
+
+def slab_max_triple_ratio(dist):
+    """Largest d[i,k] / (d[i,j] + d[j,k]) over ordered distinct triples, with
+    the first triple attaining it, unclamped, from one n×n slab
+    ratio[j, k] per first index i."""
+    n = dist.shape[0]
+    if n <= 2:
+        return 0.0, None
+    maxima = np.empty(n)
+    where = np.empty(n, dtype=np.intp)
+    for i in range(n):
+        ratio = dist + dist[i, :, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(dist[i], ratio, out=ratio)
+        ratio[i, :] = -np.inf
+        ratio[:, i] = -np.inf
+        np.fill_diagonal(ratio, -np.inf)
+        where[i] = np.argmax(ratio)
+        maxima[i] = ratio.flat[where[i]]
+    i = int(np.argmax(maxima))
+    j, k = divmod(int(where[i]), n)
+    return float(maxima[i]), (i, j, k)
 
 
 def triple_loop_relaxation(dist):
@@ -192,7 +216,7 @@ def cell_doubling_constant(space, exact_limit):
     doubled = 2.0 * np.unique(space.dist)
     for x in range(space.n):
         row = space.dist[x]
-        radii = np.array(_critical_radii(row, doubled))
+        radii = _critical_radii(row, doubled)
         for r in radii[np.searchsorted(radii, np.unique(row), side="right")].tolist():
             cells += 1
             res = cover_requirement(space, x, r, exact_limit)

@@ -114,7 +114,7 @@ def test_criterion_5_hub_family_replication():
     start = time.time()
     for n in (3, 5, 10):
         s = example31(n)
-        hub = s.index_of("0")
+        hub = s.labels.index("0")
         res = cover_requirement(s, hub, 1.5, exact_limit=2 * n + 1)
         assert res.exact and res.upper == 2 * n + 1
     weak = weak_doubling_constant(example31(4))

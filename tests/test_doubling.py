@@ -49,12 +49,12 @@ def test_value_is_the_upper_of_an_exact_bracket(make):
 class TestBall:
     def test_hub_ball_covers_everything(self):
         s = example31(5)
-        hub = s.index_of("0")
+        hub = s.labels.index("0")
         assert len(ball(s, hub, 1.5)) == s.n
 
     def test_small_ball_is_singleton(self):
         s = example31(5)
-        assert ball(s, s.index_of("3"), 0.75) == [s.index_of("3")]
+        assert ball(s, s.labels.index("3"), 0.75) == [s.labels.index("3")]
 
     def test_zero_radius_open_ball_is_empty(self, triple_114):
         assert ball(triple_114, 0, 0.0) == []
@@ -145,7 +145,7 @@ class TestOneRadiusPerTargetInterval:
         assert rep.lower <= rep.upper <= old.upper
         assert rep.exact >= old.exact
         cell = cover_requirement(
-            space, space.index_of(old.witness_center), old.witness_radius, exact_limit)
+            space, space.labels.index(old.witness_center), old.witness_radius, exact_limit)
         if cell.exact:
             assert (rep.witness_center, rep.witness_radius) == (
                 old.witness_center, old.witness_radius)
@@ -160,9 +160,9 @@ class TestOneRadiusPerTargetInterval:
         old = loop_doubling_constant(s, 15)
         rep = doubling_constant(s)
         assert (old.lower, old.upper, old.witness_center) == (6, 6, "p2")
-        assert not cover_requirement(s, s.index_of("p2"), old.witness_radius).exact
+        assert not cover_requirement(s, s.labels.index("p2"), old.witness_radius).exact
         assert (rep.lower, rep.upper, rep.witness_center) == (6, 6, "p6")
-        assert rep.witness_radius in loop_critical_radii(s.dist, s.index_of("p6"))
+        assert rep.witness_radius in loop_critical_radii(s.dist, s.labels.index("p6"))
         assert rep.witness_radius == pytest.approx(2.230821506781237, rel=1e-12)
 
     @pytest.mark.parametrize("space,limit,old_bracket,new_bracket,value", [
@@ -254,7 +254,7 @@ class TestWeakDoubling:
         s = random_bmetric(6, 2.0, seed=9)
         rep = weak_doubling_constant(s)
         idx = [s.labels.index(lab) for lab in rep.witness_set]
-        sub = s.subspace(idx)
+        sub = SemimetricSpace(rep.witness_set, s.dist[np.ix_(idx, idx)])
         again = weak_doubling_constant(sub)
         assert again.value == rep.value
 
@@ -263,7 +263,9 @@ class TestWeakDoubling:
         full = weak_doubling_constant(s).value
         for drop in range(s.n):
             keep = [i for i in range(s.n) if i != drop]
-            assert weak_doubling_constant(s.subspace(keep)).value <= full
+            sub = SemimetricSpace(s.labels[:drop] + s.labels[drop + 1:],
+                                  s.dist[np.ix_(keep, keep)])
+            assert weak_doubling_constant(sub).value <= full
 
     def test_metric_consistency_with_doubling(self):
         # for metric inputs both notions stay within a square of each other

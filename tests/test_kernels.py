@@ -1,5 +1,5 @@
-"""Dense kernels: the closure, the triple scan, the pairwise norms and the
-packed bitmasks of the doubling layer.
+"""Dense kernels: the closure, the min-plus square and triple scan, the
+pairwise norms and the packed bitmasks of the doubling layer.
 
 Each kernel is checked against a loop or broadcast oracle on the generator
 families, including the tie-heavy grid and hub families, and against an
@@ -36,7 +36,6 @@ from bmetric import (
     snowflaked_grid,
     weak_doubling_constant,
 )
-from bmetric.constants import max_triple_ratio
 from bmetric.doubling import (
     _critical_radii,
     _row_masks,
@@ -45,7 +44,12 @@ from bmetric.doubling import (
     cover_requirement,
 )
 from bmetric.embed import _pairwise_norms
-from bmetric.shortest_path import _pivot_sums, floyd_warshall, shortest_path_closure
+from bmetric.shortest_path import (
+    _pivot_sums,
+    floyd_warshall,
+    min_plus_square,
+    shortest_path_closure,
+)
 from oracles import (
     broadcast_closure,
     broadcast_pairwise_norms,
@@ -56,6 +60,7 @@ from oracles import (
     loop_max_triple_ratio,
     loop_predecessors,
     loop_threshold_adjacency,
+    slab_max_triple_ratio,
     triple_loop_relaxation,
 )
 
@@ -108,6 +113,8 @@ class TestClosure:
         D_fw, pred = floyd_warshall(d)
         assert shortest_path_closure(d).tobytes() == expected
         assert D_fw.tobytes() == expected
+        step = np.min(d[:, :, None] + d[None], axis=1)
+        assert min_plus_square(d).tobytes() == step.tobytes()
         if n <= 65:
             assert np.array_equal(pred, loop_predecessors(d))
 
@@ -170,12 +177,39 @@ class TestClosure:
             assert rem.sandwich_lo == (rem.D[mask] / powered[mask]).max()
 
 
+def _slab_relaxation(dist):
+    """(K, witness) of the earlier slab kernel, clamped to 1 as
+    `relaxation_constant` clamps."""
+    ratio, wit = slab_max_triple_ratio(dist)
+    return (1.0, None) if ratio <= 1.0 else (ratio, wit)
+
+
+def _scaled(dist, scale):
+    """dist with its smallest off-diagonal entry moved to a scale below 1,
+    or its largest to a scale above 1, so that neither underflows to 0 nor
+    overflows to inf."""
+    off = dist[~np.eye(dist.shape[0], dtype=bool)]
+    return dist * (scale / np.max(off, initial=1.0) if scale > 1.0
+                   else scale / np.min(off, initial=1.0))
+
+
+@pytest.mark.filterwarnings("error")
 class TestTripleScan:
     @pytest.mark.parametrize("family", sorted(TIE_FAMILIES))
     def test_value_and_witness_match_loop_oracle(self, family):
         s = TIE_FAMILIES[family]()
-        assert max_triple_ratio(s.dist) == loop_max_triple_ratio(s.dist)
-        assert relaxation_constant(s) == triple_loop_relaxation(s.dist)
+        assert slab_max_triple_ratio(s.dist) == loop_max_triple_ratio(s.dist)
+        assert relaxation_constant(s) == triple_loop_relaxation(s.dist) == _slab_relaxation(s.dist)
+
+    @pytest.mark.parametrize("n", BLAS_EDGE_SIZES)
+    def test_blas_edge_sizes_match_slab_kernel(self, n):
+        s = random_bmetric(n, 2.0, seed=n)
+        for scale in PIVOT_SCALES:
+            d = _scaled(s.dist, scale)
+            assert np.isfinite(d).all() and (d + np.eye(n) > 0).all(), scale
+            with np.errstate(over="ignore"):  # sums past the largest float
+                expected = _slab_relaxation(d)
+            assert relaxation_constant(s.with_dist(d)) == expected, scale
 
 
 class TestPairwiseNorms:
@@ -203,17 +237,18 @@ def _peak_float64s(fn, *args):
 class TestQuadraticMemory:
     N = 120
 
+    # the min-plus square, reused for the ratios and the witness slab, and
+    # its pivot-sum buffer
     def test_triple_scan(self):
-        d = random_bmetric(self.N, 2.0, seed=0).dist
-        assert _peak_float64s(max_triple_ratio, d) <= 8 * self.N ** 2
+        s = random_bmetric(self.N, 2.0, seed=0)
+        assert _peak_float64s(relaxation_constant, s) <= 4 * self.N ** 2
 
     def test_pairwise_norms(self):
         coords = np.random.default_rng(0).normal(size=(self.N, self.N // 4))
         assert _peak_float64s(_pairwise_norms, coords) <= 8 * self.N ** 2
 
-    # D and the pivot-sum buffer; floyd_warshall adds pred, its update mask
-    # and the n×n copy numpy makes of pred's row k, which overlaps pred
-    @pytest.mark.parametrize("closure, ceiling", [(shortest_path_closure, 3), (floyd_warshall, 5)])
+    # D and the pivot-sum buffer; floyd_warshall adds pred and its update mask
+    @pytest.mark.parametrize("closure, ceiling", [(shortest_path_closure, 3), (floyd_warshall, 4)])
     def test_closure(self, closure, ceiling):
         d = random_bmetric(self.N, 2.0, seed=0).dist
         assert _peak_float64s(closure, d) <= ceiling * self.N ** 2
@@ -281,8 +316,8 @@ class TestPackedMasks:
         doubled = 2.0 * np.unique(d)
         for center in range(d.shape[0]):
             radii = _critical_radii(d[center], doubled)
-            assert all(type(r) is float for r in radii)
-            assert np.array(radii).tobytes() == np.array(loop_critical_radii(d, center)).tobytes()
+            assert radii.dtype == np.float64
+            assert radii.tobytes() == np.array(loop_critical_radii(d, center)).tobytes()
 
 
 class TestDoublingNeedsNoBallLists:

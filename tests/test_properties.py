@@ -82,10 +82,12 @@ def test_relaxation_never_exceeds_polygonal(space):
     assert K <= c + 1e-9
 
 
-@given(semimetric_spaces())
-@settings(max_examples=40, deadline=None)
+@given(st.one_of(semimetric_spaces(), semimetric_spaces(values=st.integers(1, 4).map(float))))
+@settings(max_examples=80, deadline=None)
 def test_relaxation_matches_oracle(space):
-    assert relaxation_constant(space)[0] == triple_loop_relaxation(space.dist)[0]
+    # the second strategy draws from four distances, so many triples tie
+    # the largest ratio and only the lexicographic order picks the witness
+    assert relaxation_constant(space) == triple_loop_relaxation(space.dist)
 
 
 @given(semimetric_spaces(), st.floats(min_value=0.2, max_value=1.0))
@@ -125,7 +127,9 @@ def test_weak_doubling_subspace_heredity(space, drop_seed):
     full = weak_doubling_constant(space).value
     drop = drop_seed % space.n
     keep = [i for i in range(space.n) if i != drop]
-    assert weak_doubling_constant(space.subspace(keep)).value <= full
+    sub = SemimetricSpace(space.labels[:drop] + space.labels[drop + 1:],
+                          space.dist[np.ix_(keep, keep)])
+    assert weak_doubling_constant(sub).value <= full
 
 
 @given(st.one_of(semimetric_spaces(),

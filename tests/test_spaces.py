@@ -15,12 +15,12 @@ from bmetric import (
     snowflaked_grid,
     validate,
 )
-from bmetric.constants import max_triple_ratio
 from bmetric.spaces import FAMILIES
 from oracles import (
     broadcast_pairwise_norms,
     loop_doubling_not_weak,
     loop_example31,
+    loop_max_triple_ratio,
     loop_validate,
 )
 
@@ -84,13 +84,13 @@ class TestGenerators:
     def test_example31_small(self):
         s = example31(1)
         assert s.n == 3
-        assert s.dist[s.index_of("-1"), s.index_of("1")] == 2.0
-        assert s.dist[s.index_of("0"), s.index_of("1")] == 1.0
-        assert s.dist[s.index_of("0"), s.index_of("-1")] == 1.0
+        assert s.dist[s.labels.index("-1"), s.labels.index("1")] == 2.0
+        assert s.dist[s.labels.index("0"), s.labels.index("1")] == 1.0
+        assert s.dist[s.labels.index("0"), s.labels.index("-1")] == 1.0
 
     def test_example31_hub_distance_is_one(self):
         s = example31(6)
-        hub = s.index_of("0")
+        hub = s.labels.index("0")
         others = [i for i in range(s.n) if i != hub]
         assert all(s.dist[hub, i] == 1.0 for i in others)
 
@@ -103,7 +103,7 @@ class TestGenerators:
 
     def test_random_bmetric_meets_relaxation_target(self):
         s = random_bmetric(10, 2.0, seed=7)
-        ratio, _ = max_triple_ratio(s.dist)
+        ratio, _ = loop_max_triple_ratio(s.dist)
         assert ratio <= 2.0
 
     def test_random_bmetric_is_seed_deterministic(self):
@@ -113,11 +113,11 @@ class TestGenerators:
 
     def test_doubling_not_weak_structure(self):
         s = doubling_not_weak(3, 4)
-        i2, i3 = s.index_of("2"), s.index_of("3")
+        i2, i3 = s.labels.index("2"), s.labels.index("3")
         assert s.dist[i2, i3] == 0.5
-        assert s.dist[s.index_of("s0"), s.index_of("s1")] == 1.0
-        assert s.dist[s.index_of("s1"), s.index_of("s2")] == 2.0
-        assert s.dist[i3, s.index_of("s2")] == pytest.approx(1 / 3)
+        assert s.dist[s.labels.index("s0"), s.labels.index("s1")] == 1.0
+        assert s.dist[s.labels.index("s1"), s.labels.index("s2")] == 2.0
+        assert s.dist[i3, s.labels.index("s2")] == pytest.approx(1 / 3)
 
     @pytest.mark.parametrize(
         "spec",
@@ -186,8 +186,8 @@ class TestSnowflake:
         assert np.array_equal(snowflake(triple_114, 1.0).dist, triple_114.dist)
 
     def test_relaxation_drops_to_metric(self, triple_114):
-        ratio_before, _ = max_triple_ratio(triple_114.dist)
-        ratio_after, _ = max_triple_ratio(snowflake(triple_114, 0.5).dist)
+        ratio_before, _ = loop_max_triple_ratio(triple_114.dist)
+        ratio_after, _ = loop_max_triple_ratio(snowflake(triple_114, 0.5).dist)
         assert ratio_before == 2.0
         assert ratio_after <= 1.0
 
@@ -269,11 +269,3 @@ class TestIO:
     def test_ragged_csv_matrix(self):
         with pytest.raises(StructuralError, match="ragged matrix: rows of 1 to 2 entries"):
             SemimetricSpace.from_csv("a,b\n0,1\n1\n")
-
-
-def test_subspace_extracts_principal_block():
-    s = example31(3)
-    sub = s.subspace([0, 3, 6])
-    assert sub.labels == ("-3", "0", "3")
-    assert sub.dist[0, 2] == 6.0
-    assert sub.dist[0, 1] == 1.0
