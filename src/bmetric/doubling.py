@@ -4,12 +4,15 @@ The doubling constant is the worst minimum number of half-radius open
 balls needed to cover an open ball; the weak analog covers arbitrary
 bounded sets by sets of at most half their diameter.  Both are computed
 exactly at small scale (branch-and-bound set cover) and as brackets
-otherwise.
+otherwise.  The exact weak constant covers by maximal cliques of distance
+threshold graphs, enumerated once per threshold (Bron-Kerbosch).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,7 @@ from .spaces import SemimetricSpace, snowflake
 
 DOUBLING_EXACT_LIMIT = 15
 WEAK_EXACT_CAP = 20  # weak doubling is exact up to min(exact_limit, this) points
+MAX_DOUBLING_DIAMETER = sys.float_info.max / 4  # no critical radius sum overflows below it
 
 
 class SandwichError(ValueError):
@@ -122,9 +126,12 @@ def cover_requirement(
 def _critical_radii(row: np.ndarray, doubled: np.ndarray) -> np.ndarray:
     """Radii at which either the target ball (center distances row) or some
     half-radius ball (all distances doubled) can change contents: midpoints
-    between consecutive breakpoints plus one value past the largest."""
+    between consecutive breakpoints plus one value past the largest.  Open
+    balls are the same at every radius in (u, b] between breakpoints u < b,
+    so where the midpoint of adjacent floats rounds down to u, b stands in."""
     vals = np.unique(np.concatenate(([0.0], row, doubled)))
-    return np.append((vals[:-1] + vals[1:]) / 2.0, vals[-1] + 1.0)
+    mids = (vals[:-1] + vals[1:]) / 2.0
+    return np.append(np.where(mids > vals[:-1], mids, vals[1:]), vals[-1] + 1.0)
 
 
 def doubling_constant(
@@ -148,7 +155,15 @@ def doubling_constant(
     exact cover, greedy cover and counting bound are all at most that count;
     it can raise neither bound nor move the witness (the first cell with a
     larger upper).
+
+    Breakpoints reach twice the diameter and midpoints sum two of them, so
+    a diameter above a quarter of the largest float is a ValueError.
     """
+    if space.diameter() > MAX_DOUBLING_DIAMETER:
+        raise ValueError(
+            f"doubling needs a diameter of at most {MAX_DOUBLING_DIAMETER!r}, "
+            f"got {space.diameter()!r}: its critical radii would overflow a float"
+        )
     best_lower, best_upper = 1, 1
     wit_center, wit_radius = 0, 0.0
     cells = 0
@@ -189,13 +204,10 @@ def doubling_constant(
     )
 
 
-def _maximal_cliques(adj: list[int], subset: int) -> list[int]:
-    """Maximal cliques (as bitmasks) of the graph restricted to subset.
-
-    Bron-Kerbosch with pivoting on bitmask adjacency.
-    """
+def _maximal_cliques(adj: list[int]) -> list[int]:
+    """Maximal cliques (as bitmasks) of the graph with bitmask adjacency rows
+    adj, by Bron-Kerbosch with pivoting."""
     out: list[int] = []
-    radj = [adj[i] & subset for i in range(len(adj))]
 
     def bk(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
@@ -208,36 +220,34 @@ def _maximal_cliques(adj: list[int], subset: int) -> list[int]:
         while scan:
             bit = scan & -scan
             v = bit.bit_length() - 1
-            deg = (p & radj[v]).bit_count()
+            deg = (p & adj[v]).bit_count()
             if deg > best_deg:
                 best_deg, pivot = deg, v
             scan &= ~bit
-        cand = p & ~radj[pivot]
+        cand = p & ~adj[pivot]
         while cand:
             bit = cand & -cand
             v = bit.bit_length() - 1
-            bk(r | bit, p & radj[v], x & radj[v])
+            bk(r | bit, p & adj[v], x & adj[v])
             p &= ~bit
             x |= bit
             cand &= ~bit
 
-    bk(0, subset, 0)
+    bk(0, (1 << len(adj)) - 1, 0)
     return out
 
 
-def _diam_cover_size(amask: int, adj: list[int]) -> int:
-    """Minimum number of diameter-limited subsets covering the set amask.
-
-    Covering sets may be any subsets of X, but intersecting with the target
-    never raises a diameter, so cliques of the threshold graph inside the
-    target suffice.
-    """
-    cliques = _maximal_cliques(adj, amask)
-    return exact_min_cover(amask, cliques)
+def _threshold_adjacency(dist: np.ndarray, threshold: float) -> list[int]:
+    return _row_masks((dist <= threshold) & ~np.eye(len(dist), dtype=bool))
 
 
-def _threshold_adjacency(space: SemimetricSpace, threshold: float) -> list[int]:
-    return _row_masks((space.dist <= threshold) & ~np.eye(space.n, dtype=bool))
+def _half_diameter_cover(dist: np.ndarray) -> int:
+    """Minimum number of sets of at most half its diameter covering a whole
+    set with distance matrix dist.  Covering sets may be any subsets of X,
+    but intersecting with the set never raises a diameter, so the maximal
+    cliques of its own threshold graph suffice."""
+    adj = _threshold_adjacency(dist, float(dist.max()) / 2.0)
+    return exact_min_cover((1 << len(dist)) - 1, _maximal_cliques(adj))
 
 
 def weak_doubling_constant(
@@ -254,31 +264,20 @@ def weak_doubling_constant(
     limit = min(exact_limit, WEAK_EXACT_CAP)
     if n == 1:
         return WeakDoublingReport(1, 1, True, (space.labels[0],))
-    adj_cache: dict[float, list[int]] = {}
-
-    def adj(t: float) -> list[int]:
-        a = adj_cache.get(t)
-        if a is None:
-            a = adj_cache[t] = _threshold_adjacency(space, t)
-        return a
-
-    def own_cover(bits: list[int]) -> int:
-        # the cover of a subset by sets of at most half its own diameter
-        half = float(d[np.ix_(bits, bits)].max()) / 2.0
-        return _diam_cover_size(sum(1 << b for b in bits), adj(half))
-
     if n <= limit:
         # A set A of diameter s lies in a maximal clique C of {d <= s}; a cover
         # of C by sets of diameter <= s/2 covers A, and is no larger than C's
         # own cover since diam(C) <= s.  So the constant is the largest such
-        # cover of a maximal clique over the distances s.
-        full = (1 << n) - 1
+        # cover of a maximal clique over the distances s.  The traces on C of
+        # the maximal cliques of {d <= s/2} hold every maximal clique of its
+        # subgraph, so one clique list per threshold serves every C.
+        cliques = functools.cache(lambda t: _maximal_cliques(_threshold_adjacency(d, t)))
         best, good = 1, []
         for s in np.unique(d[~np.eye(n, dtype=bool)]).tolist():
-            for clique in _maximal_cliques(adj(s), full):
+            for clique in cliques(s):
                 if clique.bit_count() < best:
                     continue
-                cover = _diam_cover_size(clique, adj(s / 2.0))
+                cover = exact_min_cover(clique, cliques(s / 2.0))
                 if cover > best:
                     best, good = cover, [clique]
                 elif cover == best:
@@ -288,10 +287,10 @@ def weak_doubling_constant(
         for wit in range(3, 1 << n):
             if wit.bit_count() < best or all(wit & ~g for g in good):
                 continue
-            if own_cover([i for i in range(n) if wit >> i & 1]) == best:
+            bits = [i for i in range(n) if wit >> i & 1]
+            if _half_diameter_cover(d[np.ix_(bits, bits)]) == best:
                 break
-        labels = tuple(space.labels[i] for i in range(n) if wit >> i & 1)
-        return WeakDoublingReport(best, best, True, labels)
+        return WeakDoublingReport(best, best, True, tuple(space.labels[i] for i in bits))
 
     # sampling bracket: exact covers of random subsets of at most limit points
     # give a lower bound; n singletons cover any set, so n is an upper bound
@@ -302,7 +301,7 @@ def weak_doubling_constant(
     for _ in range(200):
         k = int(rng.integers(2, limit + 1))
         bits = sorted(rng.choice(n, size=k, replace=False).tolist())
-        size = own_cover(bits)
+        size = _half_diameter_cover(d[np.ix_(bits, bits)])
         if size > lower:
             lower, wit_bits = size, bits
     labels = tuple(space.labels[i] for i in wit_bits)

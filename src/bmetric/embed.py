@@ -79,7 +79,7 @@ class Embedding:
     scales: tuple[ScaleInfo, ...] = ()
 
     def pairwise_norms(self) -> np.ndarray:
-        return _pairwise_norms(self.coords)
+        return _checked_norms(self.coords)
 
     def to_dict(self) -> dict:
         return {
@@ -132,6 +132,24 @@ def _require_metric(space: SemimetricSpace) -> None:
     K, _ = relaxation_constant(space)
     if not within(K, 1.0):
         raise NonMetricError(K)
+
+
+def _checked_norms(coords: np.ndarray) -> np.ndarray:
+    """Pairwise norms of the coordinate rows.  The first zero norm between
+    two equal rows is a DegenerateEmbeddingError; a norm past the largest
+    float, or one that underflows to 0 between different rows, is a
+    ValueError, as neither certifies anything about the construction."""
+    with np.errstate(over="ignore"):
+        norms = _pairwise_norms(coords)
+    if not np.isfinite(norms).all():
+        raise ValueError("a distance between embedded points is too large for a float")
+    zero = np.argwhere((norms == 0.0) & ~np.eye(len(norms), dtype=bool))
+    if len(zero):
+        pair = (int(zero[0, 0]), int(zero[0, 1]))
+        if np.array_equal(coords[pair[0]], coords[pair[1]]):
+            raise DegenerateEmbeddingError(pair)
+        raise ValueError(f"the distance between embedded points {pair} underflows to 0")
+    return norms
 
 
 def _net(d: np.ndarray, r: float) -> list[int]:
@@ -191,7 +209,10 @@ def _embed(space: SemimetricSpace, config: EmbeddingConfig) -> tuple[Embedding, 
     per_scale = []
     q = 1
     for j in range(j_lo, j_hi + 1):
-        r = tau ** j
+        try:
+            r = tau ** j
+        except OverflowError:
+            raise ValueError(f"scale radius {tau}^{j} is too large for a float") from None
         net = _net(d, r)
         colors = _coloring(d, net, A * r)
         per_scale.append((j, r, net, colors))
@@ -204,12 +225,7 @@ def _embed(space: SemimetricSpace, config: EmbeddingConfig) -> tuple[Embedding, 
         block = (j % m) * q
         for z in net:
             coords[:, block + colors[z]] += scale_factor * np.maximum(0.0, 2.0 * r - d[:, z])
-    norms = _pairwise_norms(coords)
-    L_lo, L_up = bilipschitz_ratios(norms, d, alpha)
-    if L_lo <= 0.0:
-        mask = ~np.eye(n, dtype=bool)
-        flat = int(np.argmin(np.where(mask, norms, np.inf)))
-        raise DegenerateEmbeddingError(tuple(int(v) for v in np.unravel_index(flat, norms.shape)))
+    L_lo, L_up = bilipschitz_ratios(_checked_norms(coords), d, alpha)
     coords /= math.sqrt(L_lo * L_up)
     C = math.sqrt(L_up / L_lo)
     emb = Embedding(

@@ -5,7 +5,8 @@ min-plus matrix powering, literal chain enumeration and subset-combination
 set cover.  The exceptions are ``loop_doubling_constant``,
 ``cell_doubling_constant`` and ``loop_weak_doubling_constant``: they check
 which cells or subsets the constants examine or skip, so they reuse the
-library's per-cell or per-subset cover.  ``loop_greedy_cover`` and
+library's per-cell or per-subset cover (``cover_requirement`` and
+``_half_diameter_cover``).  ``loop_greedy_cover`` and
 ``loop_exact_min_cover`` are the library's earlier set cover, which
 returned the chosen indices, kept to check that the size-only one answers
 the same.  ``loop_example31`` and ``loop_doubling_not_weak`` are the
@@ -22,8 +23,7 @@ import numpy as np
 from bmetric import DoublingReport, WeakDoublingReport
 from bmetric.doubling import (
     _critical_radii,
-    _diam_cover_size,
-    _threshold_adjacency,
+    _half_diameter_cover,
     cover_requirement,
 )
 
@@ -176,12 +176,13 @@ def loop_threshold_adjacency(dist, threshold):
 
 def loop_critical_radii(dist, center):
     """Midpoints between the sorted set of breakpoints {0} ∪ row ∪ 2·dist,
+    or the upper breakpoint where the midpoint rounds down to the lower,
     plus one past the largest, built as a Python set."""
     breaks = {0.0}
     breaks.update(float(v) for v in dist[center])
     breaks.update(float(2.0 * v) for v in np.unique(dist))
     vals = sorted(breaks)
-    radii = [(a + b) / 2.0 for a, b in zip(vals, vals[1:]) if b > a]
+    radii = [(a + b) / 2.0 if (a + b) / 2.0 > a else b for a, b in zip(vals, vals[1:])]
     radii.append(vals[-1] + 1.0)
     return radii
 
@@ -234,30 +235,14 @@ def loop_weak_doubling_constant(space):
     integer mask order, with the library's per-subset cover; the witness is
     the first subset to reach the largest cover."""
     n = space.n
-    d = space.dist
     if n == 1:
         return WeakDoublingReport(1, 1, True, (space.labels[0],))
-    adj_cache = {}
-
-    def adj_for(diam):
-        t = diam / 2.0
-        a = adj_cache.get(t)
-        if a is None:
-            a = _threshold_adjacency(space, t)
-            adj_cache[t] = a
-        return a
-
-    def subset_diam(bits):
-        sub = d[np.ix_(bits, bits)]
-        return float(sub.max())
-
     best, wit = 1, 1 << 0
     for amask in range(3, 1 << n):
-        size = amask.bit_count()
-        if size < 2 or size <= best:
+        if amask.bit_count() <= best:
             continue
         bits = [i for i in range(n) if amask >> i & 1]
-        cover = _diam_cover_size(amask, adj_for(subset_diam(bits)))
+        cover = _half_diameter_cover(space.dist[np.ix_(bits, bits)])
         if cover > best:
             best, wit = cover, amask
     labels = tuple(space.labels[i] for i in range(n) if wit >> i & 1)

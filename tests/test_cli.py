@@ -53,6 +53,31 @@ def workdir(tmp_path_factory):
     return d
 
 
+# Three points with pairwise distances d01, d02, d12, near the ends of the
+# float range.
+EDGE_SPACES = {
+    "eq-1e-300": (1e-300,) * 3,
+    "eq-1e-250": (1e-250,) * 3,
+    "eq-1e-200": (1e-200,) * 3,
+    "eq-1e200": (1e200,) * 3,
+    "eq-1e206": (1e206,) * 3,
+    "eq-1e300": (1e300,) * 3,
+    "eq-1.7e308": (1.7e308,) * 3,
+    "tiny-pair": (1e-300, 1e300, 1e300),
+}
+EMBED_COMMANDS = (("embed", "--alpha", "0.75"), ("pipeline", "--alpha", "0.75"),
+                  ("verify", "--theorem", "3.5"), ("verify", "--theorem", "4.1"))
+
+
+@pytest.fixture(scope="module")
+def edges(tmp_path_factory):
+    d = tmp_path_factory.mktemp("edges")
+    for name, (a, b, c) in EDGE_SPACES.items():
+        matrix = [[0.0, a, b], [a, 0.0, c], [b, c, 0.0]]
+        (d / f"{name}.json").write_text(json.dumps({"labels": ["x", "y", "z"], "matrix": matrix}))
+    return d
+
+
 # One flag per claim that the claim does not read.
 UNREAD_FLAGS = (
     ("2.1", "--eps", "0.5"),
@@ -286,6 +311,37 @@ class TestVerifyTable:
         argv = ["verify", "missing.json", "--theorem", theorem, flag, value]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: --theorem {theorem} does not read {flag}\n"
+
+
+class TestFloatRangeEdges:
+    """Where the embedding's norms overflow or underflow, or doubling's
+    critical radii would overflow, the CLI exits 1 with an error line: none
+    of these is a certified violation."""
+
+    @pytest.mark.parametrize("argv", EMBED_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("name", ["eq-1e206", "eq-1e300", "eq-1.7e308",
+                                      "eq-1e-250", "eq-1e-300", "tiny-pair"])
+    def test_embedding_out_of_range_is_an_error(self, edges, capsys, argv, name):
+        assert cli.main([argv[0], str(edges / f"{name}.json"), *argv[1:], "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", EMBED_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("name", ["eq-1e-200", "eq-1e200"])
+    def test_embedding_in_range_is_certified(self, edges, argv, name):
+        assert cli.main([argv[0], str(edges / f"{name}.json"), *argv[1:], "--quiet"]) == 0
+
+    @pytest.mark.parametrize("argv", [("doubling",), ("doubling", "--weak"),
+                                      ("verify", "--theorem", "3.3"),
+                                      ("verify", "--theorem", "3.4")], ids=" ".join)
+    def test_doubling_past_a_quarter_of_the_largest_float_is_an_error(self, edges, capsys, argv):
+        # an overflowed breakpoint would make 3.3 a false violation here
+        assert cli.main([argv[0], str(edges / "eq-1.7e308.json"), *argv[1:], "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: doubling needs a diameter of at most")
+
+    def test_scale_overflow_is_not_a_traceback(self, edges):
+        r = run_cli("embed", str(edges / "eq-1.7e308.json"), "--alpha", "0.75", "--quiet")
+        assert r.returncode == 1
+        assert r.stderr == "error: scale radius 0.3333333333333333^-647 is too large for a float\n"
 
 
 class TestRemetrizationCertificate:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,34 @@ class TestDoublingConstant:
         exact = doubling_constant(s, exact_limit=25)
         assert exact.exact
         assert rep.lower <= exact.value <= rep.upper
+
+
+def _triangle(a, b, c):
+    """Three points with d(x, y) = a, d(x, z) = b and d(y, z) = c."""
+    d = np.array([[0.0, a, b], [a, 0.0, c], [b, c, 0.0]])
+    return SemimetricSpace(("x", "y", "z"), d)
+
+
+class TestFloatEdges:
+    def test_cell_between_adjacent_floats_is_examined(self):
+        # breakpoints 1 and 2·d(y, z) = 1⁺ are adjacent floats, so their
+        # midpoint rounds to 1; the cell (1, 1⁺] still needs all three points
+        one_up = np.nextafter(1.0, 2.0)
+        s = _triangle(1.0, 1.0, one_up / 2)
+        assert cover_requirement(s, 0, one_up).value == 3
+        rep = doubling_constant(s)
+        assert (rep.value, rep.witness_center, rep.witness_radius) == (3, "x", one_up)
+
+    def test_diameter_past_a_quarter_of_the_largest_float_is_an_error(self):
+        # twice such a distance, a breakpoint, is past the largest float
+        for t in (np.nextafter(sys.float_info.max / 4, np.inf), 6.02e307, 1.7e308):
+            with pytest.raises(ValueError, match="diameter of at most"):
+                doubling_constant(_triangle(t, t, t))
+
+    def test_a_quarter_of_the_largest_float_is_in_range(self):
+        t = sys.float_info.max / 4
+        rep = doubling_constant(_triangle(t, t, t))
+        assert rep.exact and rep.value == 3
 
 
 class TestOneRadiusPerTargetInterval:
@@ -323,18 +353,24 @@ class TestWeakDoubling:
 
     def test_exact_covers_are_few(self, monkeypatch):
         # maximal cliques per distance, not one cover per subset: the subset
-        # loop makes 14,992 covers on this input
-        calls = 0
-        cover = doubling_mod._diam_cover_size
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return cover(*args)
-
-        monkeypatch.setattr(doubling_mod, "_diam_cover_size", counted)
+        # loop makes 14,992 covers on this input, the clique pass 513
+        covers = _count_calls(monkeypatch, "exact_min_cover")
         assert weak_doubling_constant(euclidean_points(14, 2, seed=1), exact_limit=14).exact
-        assert calls <= 1000
+        assert covers["n"] <= 1000
+
+    def test_clique_lists_are_few_and_small(self, monkeypatch):
+        # one list per distance threshold of the whole space (263 runs on the
+        # first input; a run per cover made 604), and one per witness or
+        # sampled set, never on more than min(exact_limit, 20) points
+        rows = []
+        cliques = doubling_mod._maximal_cliques
+        monkeypatch.setattr(doubling_mod, "_maximal_cliques",
+                            lambda adj: rows.append(len(adj)) or cliques(adj))
+        assert weak_doubling_constant(euclidean_points(14, 2, seed=1), exact_limit=14).exact
+        assert len(rows) <= 300 and max(rows) <= 14
+        rows.clear()
+        assert not weak_doubling_constant(euclidean_points(80, 2, seed=3), exact_limit=8).exact
+        assert len(rows) == 200 and max(rows) <= 8
 
     def test_default_exact_limit_is_the_cli_default(self):
         # 13 points: exact, as `doubling --weak` reports it; a limit of 12

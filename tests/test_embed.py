@@ -14,7 +14,7 @@ from bmetric import (
     random_bmetric,
     snowflaked_grid,
 )
-from bmetric.embed import NonMetricError, _coloring, _net
+from bmetric.embed import DegenerateEmbeddingError, NonMetricError, _checked_norms, _coloring, _net
 from conftest import path_graph_metric
 
 
@@ -194,3 +194,18 @@ class TestConverseBound:
     def test_shape_mismatch_rejected(self, triple_114):
         with pytest.raises(ValueError):
             converse_bound(triple_114, np.zeros((2, 2)), alpha=0.5)
+
+
+class TestCheckedNorms:
+    def test_equal_rows_collide(self):
+        with pytest.raises(DegenerateEmbeddingError) as err:
+            _checked_norms(np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]]))
+        assert err.value.pair == (0, 2)
+
+    @pytest.mark.parametrize("gap,message", [
+        (1e-200, r"points \(0, 1\) underflows to 0"),  # the squared gap underflows
+        (1e200, "too large for a float"),
+    ])
+    def test_norm_outside_the_float_range_is_a_value_error(self, gap, message):
+        with pytest.raises(ValueError, match=message):
+            _checked_norms(np.array([[0.0], [gap]]))

@@ -292,9 +292,9 @@ class TestPackedMasks:
 
     @pytest.mark.parametrize("family", sorted(MASK_FAMILIES))
     def test_threshold_adjacency_matches_loop(self, family):
-        s = MASK_FAMILIES[family]()
-        for t in _mask_radii(s.dist):
-            assert _threshold_adjacency(s, t) == loop_threshold_adjacency(s.dist, t), t
+        d = MASK_FAMILIES[family]().dist
+        for t in _mask_radii(d):
+            assert _threshold_adjacency(d, t) == loop_threshold_adjacency(d, t), t
 
     @pytest.mark.parametrize("family", ["grid-9", "hub-7"])
     def test_cover_requirement_on_ball_boundaries(self, family):

@@ -189,3 +189,20 @@ def test_set_cover_sizes_match_index_oracle(universe, masks):
         return
     assert exact_min_cover(universe, masks) == len(loop_exact_min_cover(universe, masks))
     assert greedy_cover(universe, masks) == len(loop_greedy_cover(universe, masks))
+
+
+ADJACENT_FLOATS = st.sampled_from(
+    [0.5, float(np.nextafter(0.5, 1.0)), 1.0, float(np.nextafter(1.0, 2.0))]
+)
+
+
+@given(semimetric_spaces(max_n=6, values=ADJACENT_FLOATS))
+@settings(max_examples=60, deadline=None)
+def test_doubling_bounds_the_cover_at_every_breakpoint(space):
+    # a breakpoint radius b opens the cell just below it; where the midpoint
+    # of b and the breakpoint before it rounds down, that cell still counts
+    upper = doubling_constant(space).upper
+    breaks = np.unique(np.concatenate((space.dist.ravel(), 2.0 * space.dist.ravel())))
+    for x in range(space.n):
+        for r in breaks.tolist():
+            assert cover_requirement(space, x, r).lower <= upper, (x, r)
