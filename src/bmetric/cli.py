@@ -25,13 +25,7 @@ from .doubling import (
     snowflake_doubling_check,
     weak_doubling_constant,
 )
-from .embed import (
-    DegenerateEmbeddingError,
-    EmbeddingConfig,
-    assouad_embed,
-    bmetric_assouad_pipeline,
-    converse_bound,
-)
+from .embed import EmbeddingConfig, assouad_embed, bmetric_assouad_pipeline, converse_bound
 from .remetrize import chain_metric, epsilon_remetrize, frink_verify
 from .spaces import FAMILIES, SemimetricSpace, StructuralError, validate
 
@@ -307,7 +301,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (CertificateViolation, DegenerateEmbeddingError) as exc:
+    except CertificateViolation as exc:
         print(f"falsification finding: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

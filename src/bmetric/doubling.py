@@ -119,7 +119,7 @@ def cover_requirement(
     universe = _row_masks(space.dist[center, None] < radius)[0]
     if universe == 0:
         return CoverResult(0, 0, True, 0)
-    cands = [m & universe for m in _row_masks(space.dist < radius / 2.0)]
+    cands = [m & universe for m in _row_masks(2.0 * space.dist < radius)]
     return _cover(universe, cands, exact_limit)
 
 
@@ -147,14 +147,14 @@ def doubling_constant(
     0 on the diagonal, the target is empty.
 
     The targets of one center are packed in one call.  The half-radius
-    balls of a cell depend only on its level, the number of distinct
-    distances below r/2, so they are packed once per level and reused.  A
-    cell whose target size, or number of distinct nonempty candidate sets,
-    is at most the best lower bound so far is not solved: each set of a
-    cover, greedy's too, is a different candidate adding a point, so its
-    exact cover, greedy cover and counting bound are all at most that count;
-    it can raise neither bound nor move the witness (the first cell with a
-    larger upper).
+    balls of a cell depend only on its level, the number of distinct doubled
+    distances below r (2d < r is exact where r/2 would round), so they are
+    packed once per level and reused.  A cell whose target size, or number
+    of distinct nonempty candidate sets, is at most the best lower bound so
+    far is not solved: each set of a cover, greedy's too, is a different
+    candidate adding a point, so its exact cover, greedy cover and counting
+    bound are all at most that count; it can raise neither bound nor move
+    the witness (the first cell with a larger upper).
 
     Breakpoints reach twice the diameter and midpoints sum two of them, so
     a diameter above a quarter of the largest float is a ValueError.
@@ -167,22 +167,22 @@ def doubling_constant(
     best_lower, best_upper = 1, 1
     wit_center, wit_radius = 0, 0.0
     cells = 0
-    dists = np.unique(space.dist)
-    doubled = 2.0 * dists
-    halves: dict[int, list[int]] = {}  # level -> packed rows of dist < r/2
+    twice = 2.0 * space.dist
+    doubled = np.unique(twice)
+    halves: dict[int, list[int]] = {}  # level -> packed rows of 2 dist < r
     for x in range(space.n):
         row = space.dist[x]
         radii = _critical_radii(row, doubled)
         radii = radii[np.searchsorted(radii, np.unique(row), side="right")]
         targets = _row_masks(row < radii[:, None])
-        levels = np.searchsorted(dists, radii / 2.0).tolist()
+        levels = np.searchsorted(doubled, radii).tolist()
         for r, universe, level in zip(radii.tolist(), targets, levels):
             cells += 1
             if universe.bit_count() <= best_lower:
                 continue
             balls = halves.get(level)
             if balls is None:
-                balls = halves[level] = _row_masks(space.dist < r / 2.0)
+                balls = halves[level] = _row_masks(twice < r)
             # dropping repeats and empty sets keeps greedy's picks, since it
             # takes the lowest index among ties
             cands = [m for m in dict.fromkeys(m & universe for m in balls) if m]
@@ -253,18 +253,15 @@ def _half_diameter_cover(dist: np.ndarray) -> int:
 def weak_doubling_constant(
     space: SemimetricSpace, exact_limit: int = DOUBLING_EXACT_LIMIT
 ) -> WeakDoublingReport:
-    """Worst-case minimum cover of a bounded set by sets of at most half
-    its diameter.  Exact from the maximal cliques of each distance threshold
-    when n <= min(exact_limit, WEAK_EXACT_CAP), with the first subset in
-    integer order (label i is bit i) that reaches the value as witness;
-    otherwise a bracket from 200 random subsets of at most that many points
-    (seed 0)."""
+    """Worst-case minimum cover of a bounded set by sets of at most half its
+    diameter.  Exact from the maximal cliques of each distance threshold when
+    n <= min(exact_limit, WEAK_EXACT_CAP) or n = 1, with witness the first
+    subset in integer order (label i is bit i) to reach the value; otherwise
+    a bracket from 200 random subsets of at most that many points (seed 0)."""
     n = space.n
     d = space.dist
     limit = min(exact_limit, WEAK_EXACT_CAP)
-    if n == 1:
-        return WeakDoublingReport(1, 1, True, (space.labels[0],))
-    if n <= limit:
+    if n <= max(limit, 1):
         # A set A of diameter s lies in a maximal clique C of {d <= s}; a cover
         # of C by sets of diameter <= s/2 covers A, and is no larger than C's
         # own cover since diam(C) <= s.  So the constant is the largest such
@@ -274,23 +271,25 @@ def weak_doubling_constant(
         cliques = functools.cache(lambda t: _maximal_cliques(_threshold_adjacency(d, t)))
         best, good = 1, []
         for s in np.unique(d[~np.eye(n, dtype=bool)]).tolist():
+            halves = cliques(s / 2.0)
             for clique in cliques(s):
                 if clique.bit_count() < best:
                     continue
-                cover = exact_min_cover(clique, cliques(s / 2.0))
+                cover = exact_min_cover(clique, halves)
                 if cover > best:
-                    best, good = cover, [clique]
+                    best, good = cover, [(clique, halves)]
                 elif cover == best:
-                    good.append(clique)
-        # witness: the first subset in integer order whose cover reaches best;
-        # it lies in a clique of good, the one taken at its own diameter
-        for wit in range(3, 1 << n):
-            if wit.bit_count() < best or all(wit & ~g for g in good):
-                continue
-            bits = [i for i in range(n) if wit >> i & 1]
-            if _half_diameter_cover(d[np.ix_(bits, bits)]) == best:
-                break
-        return WeakDoublingReport(best, best, True, tuple(space.labels[i] for i in bits))
+                    good.append((clique, halves))
+        # witness, from the top bit: the subsets of a good clique that its half
+        # list covers with best sets are closed upward and hold every set that
+        # reaches best, so bit i stays clear if one still reaches it without i
+        wit = 0
+        for i in reversed(range(n)):
+            low = wit | ((1 << i) - 1)
+            if not any(c & wit == wit and exact_min_cover(c & low, h) == best for c, h in good):
+                wit |= 1 << i
+        labels = tuple(space.labels[i] for i in range(n) if wit >> i & 1)
+        return WeakDoublingReport(best, best, True, labels)
 
     # sampling bracket: exact covers of random subsets of at most limit points
     # give a lower bound; n singletons cover any set, so n is an upper bound

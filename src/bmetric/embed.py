@@ -31,7 +31,10 @@ class NonMetricError(ValueError):
         super().__init__(f"metric input required, found relaxation constant {K}")
 
 
-class DegenerateEmbeddingError(RuntimeError):
+class DegenerateEmbeddingError(ValueError):
+    """Two points got equal coordinate rows: the construction failed to
+    separate them, which falsifies no bound."""
+
     def __init__(self, pair: tuple[int, int]):
         self.pair = pair
         super().__init__(f"embedding degenerate: points {pair} collide")
@@ -304,7 +307,12 @@ def converse_bound(
     if L_lo <= 0:
         raise ValueError("target distance collapses a pair of distinct points")
     C_emp = math.sqrt(L_up / L_lo)
-    K_bound = 2.0 ** (1.0 / alpha) * C_emp ** (2.0 / alpha)
+    try:
+        K_bound = 2.0 ** (1.0 / alpha) * C_emp ** (2.0 / alpha)
+    except OverflowError:
+        K_bound = math.inf
+    if not math.isfinite(K_bound):
+        raise ValueError(f"bound 2^(1/{alpha}) * {C_emp}^(2/{alpha}) is too large for a float")
     K, _ = relaxation_constant(space)
     return ConverseReport(
         alpha=alpha,

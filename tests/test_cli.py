@@ -12,6 +12,7 @@ from bmetric import (
     converse_bound,
     example31,
     random_bmetric,
+    snowflaked_grid,
     weak_doubling_constant,
 )
 from bmetric.certify import CertificateViolation
@@ -75,6 +76,8 @@ def edges(tmp_path_factory):
     for name, (a, b, c) in EDGE_SPACES.items():
         matrix = [[0.0, a, b], [a, 0.0, c], [b, c, 0.0]]
         (d / f"{name}.json").write_text(json.dumps({"labels": ["x", "y", "z"], "matrix": matrix}))
+    # the construction gives points (2, 6) equal coordinates at this scale only
+    (d / "grid-1e90.json").write_text(snowflaked_grid(3, 0.5).rescale(1e90).to_json())
     return d
 
 
@@ -337,6 +340,20 @@ class TestFloatRangeEdges:
         # an overflowed breakpoint would make 3.3 a false violation here
         assert cli.main([argv[0], str(edges / "eq-1.7e308.json"), *argv[1:], "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("error: doubling needs a diameter of at most")
+
+    @pytest.mark.parametrize("argv", EMBED_COMMANDS, ids=" ".join)
+    def test_collapsed_points_are_an_error(self, edges, capsys, argv):
+        # a construction that fails to separate two points falsifies no bound
+        assert cli.main([argv[0], str(edges / "grid-1e90.json"), *argv[1:], "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: embedding degenerate: points (2, 6) collide\n"
+
+    @pytest.mark.parametrize("alpha,code", [("0.001", 1), ("0.01", 0)])
+    def test_converse_bound_past_the_largest_float_is_an_error(self, workdir, capsys, alpha,
+                                                               code):
+        argv = ["verify", str(workdir / "rb3.json"), "--theorem", "4.1", "--alpha", alpha]
+        assert cli.main([*argv, "--quiet"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: bound 2^(1/") if code else err == ""
 
     def test_scale_overflow_is_not_a_traceback(self, edges):
         r = run_cli("embed", str(edges / "eq-1.7e308.json"), "--alpha", "0.75", "--quiet")

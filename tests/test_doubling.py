@@ -154,6 +154,20 @@ class TestFloatEdges:
         rep = doubling_constant(_triangle(t, t, t))
         assert rep.exact and rep.value == 3
 
+    def test_subnormal_distances_give_the_scale_free_value(self):
+        # at scale 5e-324, r / 2 rounds 2.5 units down to 2 and shrinks the
+        # half-radius balls: the report was exactly 4, an unsound lower bound
+        m = np.array([[0, 4, 2, 3, 1, 1], [4, 0, 6, 5, 7, 4], [2, 6, 0, 5, 4, 4],
+                      [3, 5, 5, 0, 1, 3], [1, 7, 4, 1, 0, 6], [1, 4, 4, 3, 6, 0]], dtype=float)
+        for scale in (1.0, 5e-324):
+            rep = doubling_constant(SemimetricSpace(tuple("abcdef"), m * scale))
+            assert (rep.lower, rep.upper, rep.exact, rep.witness_center) == (3, 3, True, "a")
+
+    def test_half_radius_balls_of_the_smallest_float_are_not_empty(self):
+        # 5e-324 / 2 rounds to 0, which left the target {x} uncoverable
+        u = 5e-324
+        assert cover_requirement(_triangle(u, u, u), 0, u).value == 1
+
 
 class TestOneRadiusPerTargetInterval:
     """The first critical radius above each distinct center distance gives
@@ -359,18 +373,33 @@ class TestWeakDoubling:
         assert covers["n"] <= 1000
 
     def test_clique_lists_are_few_and_small(self, monkeypatch):
-        # one list per distance threshold of the whole space (263 runs on the
-        # first input; a run per cover made 604), and one per witness or
-        # sampled set, never on more than min(exact_limit, 20) points
+        # the exact path lists the cliques of each distance threshold of the
+        # whole space once (182 runs on the first input; a run per cover made
+        # 604); only sampled sets list their own, never on more than
+        # min(exact_limit, 20) points
         rows = []
         cliques = doubling_mod._maximal_cliques
         monkeypatch.setattr(doubling_mod, "_maximal_cliques",
                             lambda adj: rows.append(len(adj)) or cliques(adj))
         assert weak_doubling_constant(euclidean_points(14, 2, seed=1), exact_limit=14).exact
-        assert len(rows) <= 300 and max(rows) <= 14
+        assert len(rows) <= 300 and min(rows) == 14
         rows.clear()
         assert not weak_doubling_constant(euclidean_points(80, 2, seed=3), exact_limit=8).exact
         assert len(rows) == 200 and max(rows) <= 8
+
+    def test_witness_is_decided_bit_by_bit(self, monkeypatch):
+        # the walk over every mask made 75,004 exact covers here, the value
+        # pass 7,824 of them
+        covers = _count_calls(monkeypatch, "exact_min_cover")
+        rep = weak_doubling_constant(random_bmetric(20, 2.0, seed=3), exact_limit=20)
+        assert (rep.lower, rep.upper, rep.exact) == (6, 6, True)
+        assert rep.witness_set == ("p1", "p4", "p5", "p12", "p13", "p18")
+        assert covers["n"] <= 10_000
+
+    @pytest.mark.parametrize("exact_limit", [0, 1, 2, 15])
+    def test_one_point_is_exact_at_every_limit(self, exact_limit):
+        rep = weak_doubling_constant(SemimetricSpace(("a",), np.zeros((1, 1))), exact_limit)
+        assert (rep.lower, rep.upper, rep.exact, rep.witness_set) == (1, 1, True, ("a",))
 
     def test_default_exact_limit_is_the_cli_default(self):
         # 13 points: exact, as `doubling --weak` reports it; a limit of 12

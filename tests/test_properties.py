@@ -191,6 +191,16 @@ def test_set_cover_sizes_match_index_oracle(universe, masks):
     assert greedy_cover(universe, masks) == len(loop_greedy_cover(universe, masks))
 
 
+@given(semimetric_spaces(max_n=6, values=st.integers(1, 7).map(float)))
+@settings(max_examples=60, deadline=None)
+def test_doubling_is_scale_free_down_to_the_smallest_float(space):
+    # integer multiples of 5e-324 are exact subnormals, where r / 2 rounds
+    def fields(rep):
+        return rep.lower, rep.upper, rep.exact, rep.witness_center, rep.critical_radii_examined
+
+    assert fields(doubling_constant(space.rescale(5e-324))) == fields(doubling_constant(space))
+
+
 ADJACENT_FLOATS = st.sampled_from(
     [0.5, float(np.nextafter(0.5, 1.0)), 1.0, float(np.nextafter(1.0, 2.0))]
 )
