@@ -4,8 +4,10 @@ The doubling constant is the worst minimum number of half-radius open
 balls needed to cover an open ball; the weak analog covers arbitrary
 bounded sets by sets of at most half their diameter.  Both are computed
 exactly at small scale (branch-and-bound set cover) and as brackets
-otherwise.  The exact weak constant covers by maximal cliques of distance
-threshold graphs, enumerated once per threshold (Bron-Kerbosch).
+otherwise.  The exact weak constant covers each maximal clique of a
+distance threshold graph once, at the distance where it is born, by the
+maximal cliques of the half-distance graph, each graph's list enumerated
+once per call (Bron-Kerbosch).
 """
 
 from __future__ import annotations
@@ -204,9 +206,11 @@ def doubling_constant(
     )
 
 
-def _maximal_cliques(adj: list[int]) -> list[int]:
+def _maximal_cliques(adj: list[int], r: int, p: int) -> list[int]:
     """Maximal cliques (as bitmasks) of the graph with bitmask adjacency rows
-    adj, by Bron-Kerbosch with pivoting."""
+    adj that hold the clique r and lie inside r | p, where p is the common
+    neighbourhood of r, by Bron-Kerbosch with pivoting.  The whole graph's
+    list is r = 0, p = every vertex."""
     out: list[int] = []
 
     def bk(r: int, p: int, x: int) -> None:
@@ -233,7 +237,7 @@ def _maximal_cliques(adj: list[int]) -> list[int]:
             x |= bit
             cand &= ~bit
 
-    bk(0, (1 << len(adj)) - 1, 0)
+    bk(r, p, 0)
     return out
 
 
@@ -241,52 +245,83 @@ def _threshold_adjacency(dist: np.ndarray, threshold: float) -> list[int]:
     return _row_masks((dist <= threshold) & ~np.eye(len(dist), dtype=bool))
 
 
+def _half_threshold(s: np.ndarray | float) -> np.ndarray:
+    """Largest float t with 2 t <= s, elementwise: below the normal range
+    s / 2 rounds to even, and rounding up would admit too long pairs."""
+    t = s / 2.0
+    return np.where(2.0 * t > s, np.nextafter(t, 0.0), t)
+
+
 def _half_diameter_cover(dist: np.ndarray) -> int:
     """Minimum number of sets of at most half its diameter covering a whole
     set with distance matrix dist.  Covering sets may be any subsets of X,
     but intersecting with the set never raises a diameter, so the maximal
     cliques of its own threshold graph suffice."""
-    adj = _threshold_adjacency(dist, float(dist.max()) / 2.0)
-    return exact_min_cover((1 << len(dist)) - 1, _maximal_cliques(adj))
+    everything = (1 << len(dist)) - 1
+    adj = _threshold_adjacency(dist, _half_threshold(dist.max()))
+    return exact_min_cover(everything, _maximal_cliques(adj, 0, everything))
 
 
 def weak_doubling_constant(
     space: SemimetricSpace, exact_limit: int = DOUBLING_EXACT_LIMIT
 ) -> WeakDoublingReport:
     """Worst-case minimum cover of a bounded set by sets of at most half its
-    diameter.  Exact from the maximal cliques of each distance threshold when
+    diameter.  Exact from the maximal cliques born at each distance when
     n <= min(exact_limit, WEAK_EXACT_CAP) or n = 1, with witness the first
     subset in integer order (label i is bit i) to reach the value; otherwise
-    a bracket from 200 random subsets of at most that many points (seed 0)."""
+    a bracket from 200 random subsets of at most that many points (seed 0).
+
+    Graphs are keyed by level: level k is {d <= k-th smallest distance},
+    edgeless at 0.  Each level's clique list and each (set, level) exact
+    cover is computed at most once per call."""
     n = space.n
     d = space.dist
     limit = min(exact_limit, WEAK_EXACT_CAP)
     if n <= max(limit, 1):
         # A set A of diameter s lies in a maximal clique C of {d <= s}; a cover
         # of C by sets of diameter <= s/2 covers A, and is no larger than C's
-        # own cover since diam(C) <= s.  So the constant is the largest such
-        # cover of a maximal clique over the distances s.  The traces on C of
-        # the maximal cliques of {d <= s/2} hold every maximal clique of its
-        # subgraph, so one clique list per threshold serves every C.
-        cliques = functools.cache(lambda t: _maximal_cliques(_threshold_adjacency(d, t)))
-        best, good = 1, []
-        for s in np.unique(d[~np.eye(n, dtype=bool)]).tolist():
-            halves = cliques(s / 2.0)
-            for clique in cliques(s):
+        # own cover since diam(C) <= s.  C is maximal at its own diameter too,
+        # where its half graph is smallest, so the constant is the largest
+        # cover of a clique at the distance it is born: {u, v} with K maximal
+        # in the common neighbourhood of a pair u, v at that distance.  The
+        # traces on C of the maximal cliques of {d <= s/2} hold every maximal
+        # clique of its subgraph, so one list per half graph serves every C.
+        everything = (1 << n) - 1
+        iu, ju = np.triu_indices(n, 1)
+        pairs = d[iu, ju]
+        vals = np.unique(pairs)
+        order = np.argsort(pairs, kind="stable")
+        us, vs = iu[order].tolist(), ju[order].tolist()
+        ends = np.searchsorted(pairs[order], vals, side="right").tolist()
+        half_levels = np.searchsorted(vals, _half_threshold(vals), side="right").tolist()
+        adjs = [[0] * n]  # by level; a half level is below the level it serves
+        halves = functools.cache(lambda k: _maximal_cliques(adjs[k], 0, everything))
+        cover = functools.cache(lambda c, k: exact_min_cover(c, halves(k)))
+        best, good, start = 1, [], 0
+        for s, end, half in zip(vals.tolist(), ends, half_levels):
+            adj = _threshold_adjacency(d, s)
+            adjs.append(adj)
+            born = dict.fromkeys(
+                c
+                for u, v in zip(us[start:end], vs[start:end])
+                for c in _maximal_cliques(adj, 1 << u | 1 << v, adj[u] & adj[v])
+            )
+            start = end
+            for clique in born:
                 if clique.bit_count() < best:
                     continue
-                cover = exact_min_cover(clique, halves)
-                if cover > best:
-                    best, good = cover, [(clique, halves)]
-                elif cover == best:
-                    good.append((clique, halves))
+                size = cover(clique, half)
+                if size > best:
+                    best, good = size, [(clique, half)]
+                elif size == best:
+                    good.append((clique, half))
         # witness, from the top bit: the subsets of a good clique that its half
         # list covers with best sets are closed upward and hold every set that
         # reaches best, so bit i stays clear if one still reaches it without i
         wit = 0
         for i in reversed(range(n)):
             low = wit | ((1 << i) - 1)
-            if not any(c & wit == wit and exact_min_cover(c & low, h) == best for c, h in good):
+            if not any(c & wit == wit and cover(c & low, h) == best for c, h in good):
                 wit |= 1 << i
         labels = tuple(space.labels[i] for i in range(n) if wit >> i & 1)
         return WeakDoublingReport(best, best, True, labels)

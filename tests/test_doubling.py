@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -366,35 +367,83 @@ class TestWeakDoubling:
         assert rep.value == 3 and rep.witness_set == ("a", "b", "c")
 
     def test_exact_covers_are_few(self, monkeypatch):
-        # maximal cliques per distance, not one cover per subset: the subset
-        # loop makes 14,992 covers on this input, the clique pass 513
+        # one cover per clique at the distance it is born: the subset loop
+        # makes 14,992 covers on this input, a cover of every maximal clique
+        # at every threshold 513
         covers = _count_calls(monkeypatch, "exact_min_cover")
         assert weak_doubling_constant(euclidean_points(14, 2, seed=1), exact_limit=14).exact
-        assert covers["n"] <= 1000
+        assert covers["n"] <= 200
+
+    def test_no_exact_cover_is_repeated(self, monkeypatch):
+        # the value pass and the witness descent share one memo per call
+        seen = []
+        cover = doubling_mod.exact_min_cover
+        monkeypatch.setattr(doubling_mod, "exact_min_cover",
+                            lambda u, masks: seen.append((u, tuple(masks))) or cover(u, masks))
+        for s in (euclidean_points(14, 2, seed=1), doubling_not_weak(7, 7), example31(6),
+                  random_bmetric(12, 2.0, seed=3)):
+            seen.clear()
+            assert weak_doubling_constant(s, exact_limit=s.n).exact
+            assert len(seen) == len(set(seen)), s.n
 
     def test_clique_lists_are_few_and_small(self, monkeypatch):
-        # the exact path lists the cliques of each distance threshold of the
-        # whole space once (182 runs on the first input; a run per cover made
-        # 604); only sampled sets list their own, never on more than
-        # min(exact_limit, 20) points
-        rows = []
+        # the exact path lists the cliques of each half graph once (32 whole
+        # graph lists on the first input) and those born at each distance by
+        # one seeded run per pair (91 here, with no ties); only sampled sets
+        # list their own, never on more than min(exact_limit, 20) points
+        whole, seeded = [], []
         cliques = doubling_mod._maximal_cliques
-        monkeypatch.setattr(doubling_mod, "_maximal_cliques",
-                            lambda adj: rows.append(len(adj)) or cliques(adj))
+
+        def counted(adj, r, p):
+            (seeded if r else whole).append(len(adj))
+            return cliques(adj, r, p)
+
+        monkeypatch.setattr(doubling_mod, "_maximal_cliques", counted)
         assert weak_doubling_constant(euclidean_points(14, 2, seed=1), exact_limit=14).exact
-        assert len(rows) <= 300 and min(rows) == 14
-        rows.clear()
+        assert len(whole) <= 40 and len(seeded) <= 91 and set(whole + seeded) == {14}
+        whole.clear()
+        seeded.clear()
         assert not weak_doubling_constant(euclidean_points(80, 2, seed=3), exact_limit=8).exact
-        assert len(rows) == 200 and max(rows) <= 8
+        assert len(whole) == 200 and max(whole) <= 8 and not seeded
 
     def test_witness_is_decided_bit_by_bit(self, monkeypatch):
-        # the walk over every mask made 75,004 exact covers here, the value
-        # pass 7,824 of them
+        # the walk over every mask made 75,004 exact covers here, a cover of
+        # every maximal clique at every threshold 8,347
         covers = _count_calls(monkeypatch, "exact_min_cover")
         rep = weak_doubling_constant(random_bmetric(20, 2.0, seed=3), exact_limit=20)
         assert (rep.lower, rep.upper, rep.exact) == (6, 6, True)
         assert rep.witness_set == ("p1", "p4", "p5", "p12", "p13", "p18")
-        assert covers["n"] <= 10_000
+        assert covers["n"] <= 2_000
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_cliques_are_the_maximal_cliques_through_an_edge(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 9
+        upper = np.triu(rng.random((n, n)) < 0.6, 1)
+        adj = doubling_mod._row_masks(upper | upper.T)
+        whole = doubling_mod._maximal_cliques(adj, 0, (1 << n) - 1)
+        for u, v in zip(*np.nonzero(upper)):
+            edge = 1 << int(u) | 1 << int(v)
+            seeded = doubling_mod._maximal_cliques(adj, edge, adj[u] & adj[v])
+            assert sorted(seeded) == sorted(c for c in whole if c & edge == edge)
+
+    def test_half_threshold_does_not_round_up(self):
+        # at scale 5e-324 the distances are multiples of the smallest
+        # subnormal, so s / 2 rounds to even and gave {d <= s/2} pairs longer
+        # than half the diameter: the report was an unsound 3
+        d = np.array([[0, 4, 2, 3, 1, 1], [4, 0, 6, 5, 7, 4], [2, 6, 0, 5, 4, 4],
+                      [3, 5, 5, 0, 1, 3], [1, 7, 4, 1, 0, 6], [1, 4, 4, 3, 6, 0]], dtype=float)
+        labels = tuple("abcdef")
+        normal = weak_doubling_constant(SemimetricSpace(labels, d))
+        tiny = weak_doubling_constant(SemimetricSpace(labels, d * 5e-324))
+        assert normal.value == 4 and tiny == normal
+        # the per-set cover of the sampled bracket: 10 of these 57 sets
+        # (the whole set too) were covered by fewer sets at the small scale
+        for k in range(2, 7):
+            for bits in itertools.combinations(range(6), k):
+                sub = d[np.ix_(bits, bits)]
+                assert doubling_mod._half_diameter_cover(sub * 5e-324) == \
+                    doubling_mod._half_diameter_cover(sub), bits
 
     @pytest.mark.parametrize("exact_limit", [0, 1, 2, 15])
     def test_one_point_is_exact_at_every_limit(self, exact_limit):

@@ -141,6 +141,15 @@ def test_weak_doubling_matches_subset_loop(space):
     assert weak_doubling_constant(space).to_dict() == loop_weak_doubling_constant(space).to_dict()
 
 
+@given(semimetric_spaces(max_n=8, values=st.integers(1, 4).map(float)))
+@settings(max_examples=60, deadline=None)
+def test_weak_doubling_with_tied_new_edges_matches_subset_loop(space):
+    # four integer distances give each threshold several new edges, whose
+    # born cliques overlap and are listed once
+    assert weak_doubling_constant(space, exact_limit=space.n).to_dict() == \
+        loop_weak_doubling_constant(space).to_dict()
+
+
 @given(st.sampled_from(["bmetric", "euclidean"]), st.integers(min_value=2, max_value=8),
        st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=30, deadline=None)
