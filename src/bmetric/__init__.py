@@ -28,7 +28,6 @@ from .doubling import (
     sandwich_doubling_check,
 )
 from .embed import (
-    EmbeddingConfig,
     Embedding,
     PipelineResult,
     ConverseReport,
@@ -65,7 +64,6 @@ __all__ = [
     "weak_doubling_constant",
     "snowflake_doubling_check",
     "sandwich_doubling_check",
-    "EmbeddingConfig",
     "Embedding",
     "PipelineResult",
     "ConverseReport",

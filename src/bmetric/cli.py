@@ -11,7 +11,6 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -25,7 +24,7 @@ from .doubling import (
     snowflake_doubling_check,
     weak_doubling_constant,
 )
-from .embed import EmbeddingConfig, assouad_embed, bmetric_assouad_pipeline, converse_bound
+from .embed import assouad_embed, bmetric_assouad_pipeline, converse_bound
 from .remetrize import chain_metric, epsilon_remetrize, frink_verify
 from .spaces import FAMILIES, SemimetricSpace, StructuralError, validate
 
@@ -143,12 +142,11 @@ def cmd_doubling(args) -> int:
 
 def cmd_embed(args) -> int:
     space = _read_space(args.in_path)
-    given = {f.name: getattr(args, f.name) for f in fields(EmbeddingConfig)}
-    config = EmbeddingConfig(**{k: v for k, v in given.items() if v is not None})
-    emb = assouad_embed(space, config)
+    emb = assouad_embed(space, args.alpha)
     if args.coords_out:
         Path(args.coords_out).write_text(emb.coords_csv())
-    _emit(args, {"manifest": _manifest(args, "embed", asdict(config)), "report": emb.to_dict()})
+    report = emb.to_dict()
+    _emit(args, {"manifest": _manifest(args, "embed", report["config"]), "report": report})
     return EXIT_OK
 
 
@@ -258,18 +256,14 @@ def build_parser() -> _Parser:
 
     e = sub.add_parser("embed", help="snowflake embedding of a metric space into R^N")
     e.add_argument("in_path")
-    e.add_argument("--alpha", type=float, required=True)
-    # no defaults here: an EmbeddingConfig field the flags leave out keeps its own
-    e.add_argument("--tau", type=float)
-    e.add_argument("--conflict-factor", type=float)
-    e.add_argument("--phase-blocks", type=int)
+    e.add_argument("--alpha", type=float, required=True, help="in the open interval (0, 1)")
     e.add_argument("--coords-out", default=None, help="write coordinates as CSV")
     common(e)
     e.set_defaults(func=cmd_embed)
 
     pl = sub.add_parser("pipeline", help="remetrize then embed an arbitrary semimetric space")
     pl.add_argument("in_path")
-    pl.add_argument("--alpha", type=float, required=True)
+    pl.add_argument("--alpha", type=float, required=True, help="in the open interval (0, 1)")
     common(pl)
     pl.set_defaults(func=cmd_pipeline)
 

@@ -6,9 +6,9 @@ tent-function coordinates per (phase block, color).  All bi-Lipschitz bounds
 are measured and certified pointwise rather than taken from theory, so the
 construction parameters only influence the constant, never correctness.
 
-Defaults (scale ratio 1/3, conflict factor 3, 3 phase blocks) were picked
-empirically so the embedding dimension stabilizes across grid sizes of a
-fixed doubling structure.
+The construction constants (scale ratio 1/3, conflict factor 3, 3 phase
+blocks) were picked empirically so the embedding dimension stabilizes across
+grid sizes of a fixed doubling structure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .certify import CertificateViolation, first_violation, within
 from .constants import relaxation_constant
 from .remetrize import epsilon_remetrize
 from .schema import Report
-from .spaces import SemimetricSpace, _pairwise_norms
+from .spaces import SemimetricSpace, _csv_table, _pairwise_norms
 
 
 class NonMetricError(ValueError):
@@ -40,24 +40,11 @@ class DegenerateEmbeddingError(ValueError):
         super().__init__(f"embedding degenerate: points {pair} collide")
 
 
-@dataclass(frozen=True)
-class EmbeddingConfig:
-    alpha: float
-    tau: float = 1.0 / 3.0
-    conflict_factor: float = 3.0
-    phase_blocks: int = 3
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0 < self.tau < 1:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.conflict_factor <= 2:
-            raise ValueError(f"conflict factor must exceed 2, got {self.conflict_factor}")
-        if not math.isfinite(self.conflict_factor):
-            raise ValueError(f"conflict factor must be finite, got {self.conflict_factor}")
-        if self.phase_blocks < 1:
-            raise ValueError("need at least one phase block")
+TAU = 1.0 / 3.0  # ratio of consecutive scale radii
+# Same-color net points are at least CONFLICT_FACTOR * r apart; above 2 the
+# tents of radius 2r around them never overlap.
+CONFLICT_FACTOR = 3.0
+PHASE_BLOCKS = 3
 
 
 @dataclass(frozen=True)
@@ -77,8 +64,6 @@ class Embedding:
     L_lo: float
     L_up: float
     C: float
-    injective: bool
-    config: EmbeddingConfig
     scales: tuple[ScaleInfo, ...] = ()
 
     def pairwise_norms(self) -> np.ndarray:
@@ -91,16 +76,16 @@ class Embedding:
             "C": self.C,
             "L_lo": self.L_lo,
             "L_up": self.L_up,
-            "injective": self.injective,
-            "config": asdict(self.config),
+            "injective": True,  # equal rows raise DegenerateEmbeddingError
+            "config": {"alpha": self.alpha, "tau": TAU, "conflict_factor": CONFLICT_FACTOR,
+                       "phase_blocks": PHASE_BLOCKS},
             "scales": [asdict(s) for s in self.scales],
         }
 
     def coords_csv(self) -> str:
-        lines = ["label," + ",".join(f"x{i + 1}" for i in range(self.dimension))]
-        for lab, row in zip(self.labels, self.coords):
-            lines.append(lab + "," + ",".join(f"{v:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
+        return _csv_table(["label"] + [f"x{i + 1}" for i in range(self.dimension)],
+                          ([lab] + [f"{v:.17g}" for v in row]
+                           for lab, row in zip(self.labels, self.coords)))
 
 
 @dataclass(frozen=True)
@@ -184,48 +169,50 @@ def bilipschitz_ratios(norms: np.ndarray, dist: np.ndarray, alpha: float) -> tup
     return float(ratios.min()), float(ratios.max())
 
 
-def assouad_embed(space: SemimetricSpace, config: EmbeddingConfig) -> Embedding:
-    """Multi-scale tent-function embedding of a finite metric space.
+def assouad_embed(space: SemimetricSpace, alpha: float) -> Embedding:
+    """Multi-scale tent-function embedding of a finite metric space, certified
+    for d^alpha with alpha in (0, 1).
 
-    Per scale r_j = tau^j (covering the range from the diameter down to the
+    Per scale r_j = TAU^j (covering the range from the diameter down to the
     smallest distance): build a greedy r_j-net, color it so same-color net
-    points are at least conflict_factor * r_j apart, and add a signed tent
+    points are at least CONFLICT_FACTOR * r_j apart, and add a signed tent
     contribution r_j^(alpha-1) * max(0, 2 r_j - d(x, z)) to the coordinate
-    indexed by (j mod phase_blocks, color).  Bounds are then measured over
+    indexed by (j mod PHASE_BLOCKS, color).  Bounds are then measured over
     all pairs and the coordinates rescaled so the certificate is symmetric.
     """
-    return _embed(space, config)[0]
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return _embed(space, alpha)[0]
 
 
-def _embed(space: SemimetricSpace, config: EmbeddingConfig) -> tuple[Embedding, np.ndarray]:
+def _embed(space: SemimetricSpace, alpha: float) -> tuple[Embedding, np.ndarray]:
     """assouad_embed, also returning the pairwise norms it certified."""
     _require_metric(space)
     n = space.n
     if n < 2:
         raise ValueError("need at least two points to embed")
     d = space.dist
-    alpha, tau, A, m = config.alpha, config.tau, config.conflict_factor, config.phase_blocks
     diam, dmin = space.diameter(), space.min_distance()
-    lt = math.log(tau)
+    lt = math.log(TAU)
     j_lo = math.floor(math.log(diam) / lt)
     j_hi = math.ceil(math.log(dmin) / lt)
     per_scale = []
     q = 1
     for j in range(j_lo, j_hi + 1):
         try:
-            r = tau ** j
+            r = TAU ** j
         except OverflowError:
-            raise ValueError(f"scale radius {tau}^{j} is too large for a float") from None
+            raise ValueError(f"scale radius {TAU}^{j} is too large for a float") from None
         net = _net(d, r)
-        colors = _coloring(d, net, A * r)
+        colors = _coloring(d, net, CONFLICT_FACTOR * r)
         per_scale.append((j, r, net, colors))
         q = max(q, 1 + max(colors.values()))
-    N = m * q
+    N = PHASE_BLOCKS * q
     coords = np.zeros((n, N))
     for j, r, net, colors in per_scale:
-        sign = float((-1) ** (j // m))
+        sign = float((-1) ** (j // PHASE_BLOCKS))
         scale_factor = sign * r ** (alpha - 1.0)
-        block = (j % m) * q
+        block = (j % PHASE_BLOCKS) * q
         for z in net:
             coords[:, block + colors[z]] += scale_factor * np.maximum(0.0, 2.0 * r - d[:, z])
     L_lo, L_up = bilipschitz_ratios(_checked_norms(coords), d, alpha)
@@ -239,8 +226,6 @@ def _embed(space: SemimetricSpace, config: EmbeddingConfig) -> tuple[Embedding, 
         L_lo=L_lo,
         L_up=L_up,
         C=C,
-        injective=True,
-        config=config,
         scales=tuple(
             ScaleInfo(j, r, len(net), 1 + max(colors.values())) for j, r, net, colors in per_scale
         ),
@@ -268,8 +253,10 @@ def bmetric_assouad_pipeline(space: SemimetricSpace, alpha: float) -> PipelineRe
     is certified pointwise for d^(p*alpha), and the measured constant is
     cross-checked against the 2^alpha * C arithmetic of the two stages.
     """
+    if not 0 < alpha < 1:  # before the remetrization search, which is the slow part
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     rem = epsilon_remetrize(space, 1.0)  # certifies D <= d^p <= 2D
-    emb, norms = _embed(space.with_dist(rem.D), EmbeddingConfig(alpha=alpha))
+    emb, norms = _embed(space.with_dist(rem.D), alpha)
     alpha_prime = rem.p * alpha
     L_lo, L_up = bilipschitz_ratios(norms, space.dist, alpha_prime)
     C_prime = max(L_up, 1.0 / L_lo)

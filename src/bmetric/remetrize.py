@@ -37,16 +37,18 @@ class Remetrization:
     p: float
     epsilon_target: float | None
     D: np.ndarray
-    sandwich_lo: float  # max D/d^p, which is 1 (see _sandwich_hi)
     sandwich_hi: float
-    method: str
     search_trace: tuple[tuple[float, float], ...] = ()
+
+    @property
+    def method(self) -> str:
+        return "chain" if self.p == 1.0 else "chain_after_snowflake"
 
     def to_dict(self) -> dict:
         return {
             "p": self.p,
             "epsilon": self.epsilon_target,
-            "sandwich_lo": self.sandwich_lo,
+            "sandwich_lo": 1.0,  # max D/d^p (see _sandwich_hi)
             "sandwich_hi": self.sandwich_hi,
             "D": [list(map(float, row)) for row in self.D],
             "method": self.method,
@@ -95,9 +97,7 @@ def chain_metric(space: SemimetricSpace) -> Remetrization:
         p=1.0,
         epsilon_target=None,
         D=D,
-        sandwich_lo=1.0,
         sandwich_hi=hi,
-        method="chain",
         search_trace=((1.0, hi),),
     )
 
@@ -158,7 +158,6 @@ def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
             best_p, best = mid, res
         else:
             p_bad = mid
-    method = "chain" if best_p == 1.0 else "chain_after_snowflake"
     powered, D, hi = best
     _certify_sandwich(powered, D, hi)
-    return Remetrization(best_p, epsilon, D, 1.0, hi, method, tuple(trace))
+    return Remetrization(best_p, epsilon, D, hi, tuple(trace))

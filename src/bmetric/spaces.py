@@ -114,12 +114,7 @@ class SemimetricSpace:
         return cls(tuple(labels), dist)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(self.labels)
-        for row in self.dist:
-            w.writerow([f"{x:.17g}" for x in row])
-        return buf.getvalue()
+        return _csv_table(self.labels, ([f"{x:.17g}" for x in row] for row in self.dist))
 
     @classmethod
     def from_csv(cls, text: str) -> "SemimetricSpace":
@@ -128,6 +123,15 @@ class SemimetricSpace:
         if not rows:
             raise StructuralError("empty CSV input")
         return cls(tuple(rows[0]), _float_matrix(rows[1:]))
+
+
+def _csv_table(header, rows) -> str:
+    """A header row and data rows as CSV text, quoted where csv.writer quotes."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def _float_matrix(rows: list[list]) -> np.ndarray:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from bmetric import (
-    EmbeddingConfig,
     assouad_embed,
     bmetric_assouad_pipeline,
     chain_metric,
@@ -167,7 +166,7 @@ def test_criterion_7_sandwich_doubling_bound():
 @pytest.fixture(scope="module")
 def grid_embeddings():
     return {
-        k: (snowflaked_grid(k, 1.0), assouad_embed(snowflaked_grid(k, 1.0), EmbeddingConfig(alpha=0.75)))
+        k: (snowflaked_grid(k, 1.0), assouad_embed(snowflaked_grid(k, 1.0), 0.75))
         for k in (4, 8, 16)
     }
 

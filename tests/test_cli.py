@@ -1,4 +1,6 @@
+import csv
 import inspect
+import io
 import json
 
 import jsonschema
@@ -211,8 +213,7 @@ class TestExitCodes:
             (("remetrize", "rb.json", "--eps", "nan"), 1),
             (("remetrize", "rb.json", "--eps", "inf"), 1),
             (("verify", "rb.json", "--theorem", "2.2", "--eps", "nan"), 1),
-            (("embed", "grid.json", "--alpha", "0.5", "--conflict-factor", "nan"), 1),
-            (("embed", "grid.json", "--alpha", "0.5", "--conflict-factor", "inf"), 1),
+            (("embed", "grid.json", "--alpha", "0.5", "--tau", "0.5"), 1),  # no such flag
             (("generate", "--family", "snowflaked-grid", "--k", "3", "--p", "nan",
               "--space-out", "bad.json"), 1),
             (("generate", "--family", "random-bmetric", "--n", "5", "--K", "nan",
@@ -279,11 +280,6 @@ class TestExitCodes:
         assert cli.main(["doubling", str(path), "--weak"]) == 0
         report = json.loads(capsys.readouterr().out)["report"]
         assert report["weak"] == json.loads(json.dumps(weak_doubling_constant(space).to_dict()))
-
-    def test_embed_defaults_are_the_config_defaults(self):
-        # the parser leaves out what is not given, so EmbeddingConfig's defaults apply
-        args = cli.build_parser().parse_args(["embed", "s.json", "--alpha", "0.5"])
-        assert (args.tau, args.conflict_factor, args.phase_blocks) == (None, None, None)
 
     def test_weak_help_names_its_exact_limit(self, capsys):
         assert cli.main(["doubling", "--help"]) == 0
@@ -439,7 +435,12 @@ class TestMatrixOut:
     def test_embed_writes_coords(self, workdir):
         out = workdir / "coords.csv"
         r = run_cli("embed", "grid.json", "--alpha", "0.75", "--coords-out", str(out),
-                    "--quiet", cwd=workdir)
+                    cwd=workdir)
         assert r.returncode == 0
-        header = out.read_text().splitlines()[0]
-        assert header.split(",")[0] == "label"
+        N = json.loads(r.stdout)["report"]["N"]
+        rows = list(csv.reader(io.StringIO(out.read_text())))
+        assert rows[0] == ["label"] + [f"x{i + 1}" for i in range(N)]
+        # the grid's labels ("0,0", ...) hold commas, so they must come back quoted
+        assert all(len(row) == N + 1 for row in rows)
+        space = SemimetricSpace.from_json((workdir / "grid.json").read_text())
+        assert [row[0] for row in rows[1:]] == list(space.labels)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import bmetric.remetrize
 from bmetric import (
-    EmbeddingConfig,
     SemimetricSpace,
     assouad_embed,
     bmetric_assouad_pipeline,
@@ -69,20 +69,20 @@ class TestConflictColoring:
 class TestAssouadEmbed:
     def test_two_point_space_is_exact(self):
         s = SemimetricSpace(("a", "b"), np.array([[0, 2], [2, 0]], dtype=float))
-        emb = assouad_embed(s, EmbeddingConfig(alpha=0.6))
+        emb = assouad_embed(s, 0.6)
         assert emb.C == pytest.approx(1.0)
         norm = np.linalg.norm(emb.coords[0] - emb.coords[1])
         assert norm == pytest.approx(2.0 ** 0.6, rel=1e-9)
 
     def test_uniform_space_single_scale(self):
         s = SemimetricSpace(tuple("abcde"), np.ones((5, 5)) - np.eye(5))
-        emb = assouad_embed(s, EmbeddingConfig(alpha=0.75))
+        emb = assouad_embed(s, 0.75)
         assert len(emb.scales) == 1
         assert emb.C == pytest.approx(1.0)
 
     def test_certificate_holds_pointwise(self):
         s = euclidean_points(15, 2, seed=7)
-        emb = assouad_embed(s, EmbeddingConfig(alpha=0.75))
+        emb = assouad_embed(s, 0.75)
         norms = emb.pairwise_norms()
         powered = s.dist ** emb.alpha
         mask = ~np.eye(s.n, dtype=bool)
@@ -91,8 +91,8 @@ class TestAssouadEmbed:
 
     def test_injectivity(self):
         s = snowflaked_grid(5, 1.0)
-        emb = assouad_embed(s, EmbeddingConfig(alpha=0.8))
-        assert emb.injective
+        emb = assouad_embed(s, 0.8)
+        assert emb.to_dict()["injective"]
         coords = [tuple(row) for row in emb.coords]
         assert len(set(coords)) == s.n
 
@@ -100,7 +100,7 @@ class TestAssouadEmbed:
         dims = []
         Cs = []
         for k in (4, 8):
-            emb = assouad_embed(snowflaked_grid(k, 1.0), EmbeddingConfig(alpha=0.75))
+            emb = assouad_embed(snowflaked_grid(k, 1.0), 0.75)
             dims.append(emb.dimension)
             Cs.append(emb.C)
         assert dims[0] == dims[1]
@@ -108,22 +108,17 @@ class TestAssouadEmbed:
 
     def test_rejects_nonmetric(self, triple_114):
         with pytest.raises(NonMetricError):
-            assouad_embed(triple_114, EmbeddingConfig(alpha=0.75))
+            assouad_embed(triple_114, 0.75)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EmbeddingConfig(alpha=1.2)
-        with pytest.raises(ValueError):
-            EmbeddingConfig(alpha=0.7, tau=1.5)
-        with pytest.raises(ValueError):
-            EmbeddingConfig(alpha=0.7, conflict_factor=2.0)
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="conflict factor must be finite"):
-                EmbeddingConfig(alpha=0.7, conflict_factor=bad)
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.2, float("nan"), float("inf")])
+    def test_alpha_validation(self, triple_114, alpha):
+        # alpha is checked first, so a non-metric space still gets the alpha error
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            assouad_embed(triple_114, alpha)
 
     def test_coords_csv_header(self):
         s = path_graph_metric(3)
-        emb = assouad_embed(s, EmbeddingConfig(alpha=0.75))
+        emb = assouad_embed(s, 0.75)
         lines = emb.coords_csv().splitlines()
         assert lines[0].startswith("label,x1,")
         assert len(lines) == 4
@@ -159,6 +154,16 @@ class TestPipeline:
         powered = s.dist ** result.p
         rem = chain_metric(s.with_dist(powered))
         assert rem.sandwich_hi <= 2.0
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+    def test_alpha_is_checked_before_the_remetrization(self, monkeypatch, alpha):
+        calls = []
+        closure = bmetric.remetrize.shortest_path_closure
+        monkeypatch.setattr(bmetric.remetrize, "shortest_path_closure",
+                            lambda d: calls.append(1) or closure(d))
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            bmetric_assouad_pipeline(random_bmetric(12, 2.0, seed=1), alpha)
+        assert calls == []
 
     def test_stage_arithmetic(self):
         for seed in range(5):

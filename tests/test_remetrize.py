@@ -115,7 +115,7 @@ class TestEpsilonRemetrize:
             mask = offdiag_mask(s.n)
             assert (rem.D[mask] <= powered[mask] * (1 + 1e-12)).all()
             assert rem.sandwich_hi <= 1.5
-            assert rem.sandwich_lo <= 1.0 + 1e-12
+            assert rem.to_dict()["sandwich_lo"] <= 1.0 + 1e-12
 
     def test_search_trace_final_value_certified(self):
         s = random_bmetric(9, 3.0, seed=77)
@@ -140,7 +140,7 @@ class TestEpsilonRemetrize:
         powered, mask = s.dist ** rem.p, offdiag_mask(s.n)
         lo = (rem.D[mask] / powered[mask]).max()
         hi = (powered[mask] / rem.D[mask]).max()
-        assert np.float64(rem.sandwich_lo).tobytes() == np.float64(lo).tobytes()
+        assert np.float64(rem.to_dict()["sandwich_lo"]).tobytes() == np.float64(lo).tobytes()
         assert np.float64(rem.sandwich_hi).tobytes() == np.float64(hi).tobytes()
 
     def test_rejects_nonpositive_eps(self, triple_114):
