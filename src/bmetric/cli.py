@@ -8,6 +8,7 @@ kept distinct from ordinary errors on purpose).  An internal error is never 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -206,7 +207,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["holds"] else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and it holds no input or result."""
     parser = _Parser(prog="bmetric", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -182,12 +182,13 @@ def assouad_embed(space: SemimetricSpace, alpha: float) -> Embedding:
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _require_metric(space)
     return _embed(space, alpha)[0]
 
 
 def _embed(space: SemimetricSpace, alpha: float) -> tuple[Embedding, np.ndarray]:
-    """assouad_embed, also returning the pairwise norms it certified."""
-    _require_metric(space)
+    """assouad_embed, also returning the pairwise norms it certified, on a
+    space the caller knows to be a metric."""
     n = space.n
     if n < 2:
         raise ValueError("need at least two points to embed")
@@ -256,6 +257,8 @@ def bmetric_assouad_pipeline(space: SemimetricSpace, alpha: float) -> PipelineRe
     if not 0 < alpha < 1:  # before the remetrization search, which is the slow part
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     rem = epsilon_remetrize(space, 1.0)  # certifies D <= d^p <= 2D
+    # D is a shortest-path closure, so a metric up to rounding; the result is
+    # certified against d^(p*alpha) below, so stage 2 does not re-check it
     emb, norms = _embed(space.with_dist(rem.D), alpha)
     alpha_prime = rem.p * alpha
     L_lo, L_up = bilipschitz_ratios(norms, space.dist, alpha_prime)

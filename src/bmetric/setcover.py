@@ -1,11 +1,19 @@
 """Minimum set cover sizes on bitmask-encoded instances (bit i is element i).
 
 Both functions answer the size of a cover, not its sets.  The exact size
-comes from branch-and-bound with the greedy size as incumbent: each node
-branches on the uncovered element with the fewest covering sets, lowest bit
-first among ties, in an order fixed before the search.  Intended for the
-small covers that appear in doubling-constant computations (target sets of
-a couple dozen elements).
+comes from branch-and-bound that bounds before it builds: the greedy size on
+the distinct sets is the incumbent and ceil(|universe| / largest set) the
+counting bound, and when the two meet the greedy size is the answer.  Only
+otherwise are the sets contained in another dropped and the branching order
+fixed: fewest covering sets first, the lowest bit among ties.  Each node
+prunes on the counting bound of what is left, then on a packing bound:
+uncovered elements taken in the branching order, each removing the union of
+the sets that cover it, share no set, so each needs its own (a feasible
+solution of the dual of the set-cover LP; Vazirani, *Approximation
+Algorithms*, 2001, ch. 13).  The first of them is the element the node
+branches on, over the sets covering it, largest first.  Any admissible bound
+returns the same minimum.  Intended for the small covers that appear in
+doubling-constant computations (target sets of a couple dozen elements).
 """
 
 from __future__ import annotations
@@ -32,40 +40,54 @@ def exact_min_cover(universe: int, masks: list[int]) -> int:
     """Size of a minimum-cardinality cover of universe."""
     if universe == 0:
         return 0
-    # distinct nonempty sets inside universe, largest first (ties in
-    # first-seen order), without those contained in a set kept before them
-    cands: list[int] = []
-    traces = (m for m in dict.fromkeys(m & universe for m in masks) if m)
-    for m in sorted(traces, key=lambda m: -m.bit_count()):
-        if all(m | k != k for k in cands):
-            cands.append(m)
+    # distinct sets inside universe, largest first
+    traces = sorted({m & universe for m in masks}, key=int.bit_count, reverse=True)
+    best = greedy_cover(universe, traces)
+    max_size = traces[0].bit_count()
+    if -(-universe.bit_count() // max_size) >= best:
+        return best
 
-    # element -> candidates covering it, in candidate order
-    covering: dict[int, list[int]] = {}
+    # without those contained in a set kept before them (the empty set too)
+    cands: list[int] = []
+    for m in traces:
+        for k in cands:
+            if m | k == k:
+                break
+        else:
+            cands.append(m)
+    # per element: the union of the sets covering it, and those sets, in the
+    # branching order (fewest covering sets first, then the lowest bit)
+    order: list[tuple[int, int, list[int]]] = []
     u = universe
     while u:
         bit = u & -u
-        covering[bit] = [m for m in cands if m & bit]
-        if not covering[bit]:
-            raise ValueError("universe not coverable by the given sets")
-        u &= ~bit
-    # branching order: fewest covering sets first, then the lowest bit
-    order = sorted(covering, key=lambda bit: len(covering[bit]))
-
-    best = greedy_cover(universe, cands)
-    max_size = max(m.bit_count() for m in cands)
+        covering = [m for m in cands if m & bit]
+        reach = 0
+        for m in covering:
+            reach |= m
+        order.append((bit, reach, covering))
+        u ^= bit
+    order.sort(key=lambda entry: len(entry[2]))
 
     def descend(uncovered: int, depth: int) -> None:
         nonlocal best
         if uncovered == 0:
             best = min(best, depth)
             return
-        # admissible lower bound: remaining elements / largest set size
-        need = -(-uncovered.bit_count() // max_size)
-        if depth + need >= best:
+        # counting bound: remaining elements / largest set size
+        if depth + -(-uncovered.bit_count() // max_size) >= best:
             return
-        bit = next(b for b in order if b & uncovered)
-        for m in sorted(covering[bit], key=lambda m: -(m & uncovered).bit_count()):
+        # packing bound: a pick in no set with an earlier pick needs its own
+        need, rest, branch = depth, uncovered, None
+        for bit, reach, covering in order:
+            if bit & rest:
+                need += 1
+                if need >= best:
+                    return
+                if branch is None:
+                    branch = covering
+                rest &= ~reach
+        for m in branch:
             descend(uncovered & ~m, depth + 1)
 
     descend(universe, 0)

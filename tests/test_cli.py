@@ -444,3 +444,27 @@ class TestMatrixOut:
         assert all(len(row) == N + 1 for row in rows)
         space = SemimetricSpace.from_json((workdir / "grid.json").read_text())
         assert [row[0] for row in rows[1:]] == list(space.labels)
+
+
+class TestParserIsBuiltOnce:
+    def test_second_main_builds_no_parser(self, workdir, monkeypatch):
+        argv = ["constants", str(workdir / "ex31.json"), "--quiet"]
+        assert cli.main(argv) == 0
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        assert cli.main(argv) == 0
+        assert built == []
+
+    def test_each_parse_starts_from_the_defaults(self, workdir):
+        parser, path = cli.build_parser(), str(workdir / "ex31.json")
+        first = parser.parse_args(["doubling", path, "--weak", "--exact-max", "4"])
+        second = parser.parse_args(["doubling", path])
+        assert (first.weak, first.exact_max) == (True, 4)
+        assert vars(second) == vars(cli.build_parser.__wrapped__().parse_args(["doubling", path]))
+        assert (second.weak, second.exact_max) == (False, cli.DOUBLING_EXACT_LIMIT)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bmetric.embed
 import bmetric.remetrize
 from bmetric import (
     SemimetricSpace,
@@ -164,6 +165,20 @@ class TestPipeline:
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             bmetric_assouad_pipeline(random_bmetric(12, 2.0, seed=1), alpha)
         assert calls == []
+
+    def test_only_assouad_embed_checks_the_metric(self, monkeypatch):
+        # the pipeline's stage 2 embeds a shortest-path closure, a metric by
+        # construction; the closure's own check is a property test
+        calls = []
+        relaxation = bmetric.embed.relaxation_constant
+        monkeypatch.setattr(bmetric.embed, "relaxation_constant",
+                            lambda space: calls.append(space.n) or relaxation(space))
+        bmetric_assouad_pipeline(random_bmetric(12, 2.0, seed=1), 0.75)
+        assert calls == []
+        assouad_embed(euclidean_points(9, 2, seed=5), 0.75)
+        assert calls == [9]
+        with pytest.raises(NonMetricError):
+            assouad_embed(random_bmetric(12, 2.0, seed=1), 0.75)
 
     def test_stage_arithmetic(self):
         for seed in range(5):

@@ -17,8 +17,10 @@ from bmetric import (
     validate,
     weak_doubling_constant,
 )
+from bmetric.certify import within
 from bmetric.doubling import cover_requirement
 from bmetric.setcover import exact_min_cover, greedy_cover
+from bmetric.shortest_path import shortest_path_closure
 from oracles import (
     cell_doubling_constant,
     loop_critical_radii,
@@ -29,6 +31,8 @@ from oracles import (
 )
 
 FLOATS = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
+# a hundred decades each way: chains add distances of very different sizes
+WIDE_FLOATS = st.floats(min_value=1e-100, max_value=1e100)
 
 
 @st.composite
@@ -96,6 +100,18 @@ def test_snowflake_contracts_relaxation_constant(space, p):
     K, _ = relaxation_constant(space)
     K_p, _ = relaxation_constant(snowflake(space, p))
     assert K_p <= K ** p * (1 + 1e-9)
+
+
+@given(st.one_of(semimetric_spaces(max_n=10, values=st.integers(1, 4).map(float)),
+                 semimetric_spaces(max_n=10, values=WIDE_FLOATS)),
+       st.floats(min_value=0.05, max_value=1.0))
+@settings(max_examples=80, deadline=None)
+def test_closure_is_a_metric_up_to_rounding(space, p):
+    # the pipeline embeds the closure of d^p without re-checking that it is a
+    # metric; four integer distances tie many chains, wide ones round them
+    D = shortest_path_closure(space.dist ** p)
+    K, _ = relaxation_constant(space.with_dist(D))
+    assert within(K, 1.0)
 
 
 @given(semimetric_spaces(), st.floats(min_value=0.01, max_value=100.0))

@@ -1,9 +1,14 @@
-"""Set cover sizes against the earlier index-returning cover and brute force."""
+"""Set cover sizes against the earlier index-returning cover and brute force,
+and the search nodes (``descend`` calls) the exact cover's bounds leave."""
 
 import random
+import sys
 
 import pytest
 
+import bmetric.doubling as doubling_mod
+import bmetric.setcover as setcover_mod
+from bmetric import random_bmetric
 from bmetric.setcover import exact_min_cover, greedy_cover
 from oracles import brute_min_cover, loop_exact_min_cover, loop_greedy_cover
 
@@ -90,3 +95,72 @@ def test_empty_universe_needs_no_set():
 def test_uncoverable_universe_raises(cover, universe, masks):
     with pytest.raises(ValueError, match="not coverable"):
         cover(universe, masks)
+
+
+def _search_nodes(fn, *args):
+    """fn(*args) and the number of calls it made to setcover's descend,
+    counted by a profile hook so the library needs no counter."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "descend" and code.co_filename == setcover_mod.__file__:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def _check_oracles(universe, masks, exact):
+    assert exact == len(loop_exact_min_cover(universe, masks))
+    assert exact == brute_min_cover(_elements(universe), map(_elements, masks))
+
+
+@pytest.mark.parametrize("universe, masks, size", [
+    (0b111, [0b011, 0b111, 0b100], 1),
+    # two disjoint triples and sets inside them: any greedy takes the triples
+    (0b111111, [0b000011, 0b000111, 0b111000, 0b100000, 0b000111], 2),
+    # three pairs partition the universe; bits 6 and 7 lie outside it
+    (0b111111, [0b11000011, 0b001100, 0b110000, 0b01000110], 3),
+])
+def test_greedy_meeting_the_counting_bound_starts_no_search(universe, masks, size):
+    exact, nodes = _search_nodes(exact_min_cover, universe, masks)
+    assert (exact, nodes) == (size, 0)
+    _check_oracles(universe, masks, exact)
+
+
+def test_only_the_packing_bound_closes_the_root():
+    # greedy needs 3 and the counting bound says 2 (sets of 3, 6 elements),
+    # but elements 0, 1 and 2 share no set, so each needs its own
+    universe, masks = 0b111111, [0b101001, 0b110010, 0b101100]
+    assert greedy_cover(universe, masks) == 3
+    exact, nodes = _search_nodes(exact_min_cover, universe, masks)
+    assert (exact, nodes) == (3, 1)
+    _check_oracles(universe, masks, exact)
+
+
+def test_dominated_sets_leave_one_set_to_branch_on():
+    # greedy takes {0,1,2,3} and then needs {0,2,4} and {1,3,5}, which alone
+    # cover; {0,4} (also traced from {0,4,7}) and {5} are the only other sets
+    # covering 4 and 5, inside {0,2,4} and {1,3,5}, so each branch has one set
+    x, left, right = 0b001111, 0b010101, 0b101010
+    masks = [x, 0b010001, left, 0b10010001, x, right, 0b100000]
+    assert greedy_cover(0b111111, masks) == 3
+    exact, nodes = _search_nodes(exact_min_cover, 0b111111, masks)
+    assert (exact, nodes) == (2, 3)
+    _check_oracles(0b111111, masks, exact)
+
+
+def test_weak_doubling_search_stays_small(monkeypatch):
+    # exact weak doubling of a 24-point random b-metric (cap raised for the
+    # test) made 174,149 search nodes with the counting bound alone
+    monkeypatch.setattr(doubling_mod, "WEAK_EXACT_CAP", 24)
+    rep, nodes = _search_nodes(doubling_mod.weak_doubling_constant,
+                               random_bmetric(24, 2.0, seed=0), 24)
+    assert (rep.lower, rep.upper, rep.exact) == (7, 7, True)
+    assert nodes <= 60_000
