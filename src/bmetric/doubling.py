@@ -4,10 +4,12 @@ The doubling constant is the worst minimum number of half-radius open
 balls needed to cover an open ball; the weak analog covers arbitrary
 bounded sets by sets of at most half their diameter.  Both are computed
 exactly at small scale (branch-and-bound set cover) and as brackets
-otherwise.  The exact weak constant covers each maximal clique of a
-distance threshold graph once, at the distance where it is born, by the
-maximal cliques of the half-distance graph, each graph's list enumerated
-once per call (Bron-Kerbosch).
+otherwise.  Doubling bounds its cells in batches on packed uint64 words,
+one vectorized greedy for many cells, and searches only where greedy and
+the counting bound disagree.  The exact weak constant covers each maximal
+clique of a distance threshold graph once, at the distance where it is
+born, by the maximal cliques of the half-distance graph, each graph's list
+enumerated once per call (Bron-Kerbosch).
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ import numpy as np
 
 from .certify import first_violation
 from .schema import Report
-from .setcover import exact_min_cover, greedy_cover
+from .setcover import exact_min_cover, greedy_cover, greedy_cover_batch
 from .spaces import SemimetricSpace, snowflake
 
 DOUBLING_EXACT_LIMIT = 15
 WEAK_EXACT_CAP = 20  # weak doubling is exact up to min(exact_limit, this) points
 MAX_DOUBLING_DIAMETER = sys.float_info.max / 4  # no critical radius sum overflows below it
+BATCH_BYTES = 1 << 15  # packed half-radius traces of the cells bounded at once
 
 
 class SandwichError(ValueError):
@@ -91,49 +94,82 @@ def ball(space: SemimetricSpace, center: int, radius: float) -> list[int]:
     return [int(i) for i in np.flatnonzero(space.dist[center] < radius)]
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, as np.unique gives them, without np.unique's
+    masked-array check: its first use imports numpy.ma, about 1.5 MB."""
+    ordered = np.sort(values, axis=None)
+    keep = np.ones(len(ordered), dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
+def _row_ints(rows: np.ndarray) -> list[int]:
+    """The int of each row's little-endian bytes."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
 def _row_masks(rows: np.ndarray) -> list[int]:
     """Bitmask of each row of a 2-D boolean array: bit j is column j."""
-    packed = np.packbits(rows, axis=-1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _cover(universe: int, cands: list[int], exact_limit: int) -> CoverResult:
-    """Minimum cover of a nonempty universe by cands, sets already inside it:
-    exact up to exact_limit points, otherwise a greedy upper bound and the
-    counting lower bound size / largest set."""
-    size = universe.bit_count()
-    if size <= exact_limit:
-        k = exact_min_cover(universe, cands)
-        return CoverResult(k, k, True, size)
-    upper = greedy_cover(universe, cands)
-    biggest = max(m.bit_count() for m in cands)
-    lower = -(-size // biggest)
-    return CoverResult(lower, upper, False, size)
+    return _row_ints(np.packbits(rows, axis=-1, bitorder="little"))
 
 
 def cover_requirement(
     space: SemimetricSpace, center: int, radius: float, exact_limit: int = DOUBLING_EXACT_LIMIT
 ) -> CoverResult:
     """Minimum number of open balls of radius/2 (centers anywhere) covering
-    the open ball B(center, radius); exact when the target is small enough."""
+    the open ball B(center, radius): exact when the target has at most
+    exact_limit points, otherwise a greedy upper bound and the counting lower
+    bound size / largest half-radius ball."""
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     universe = _row_masks(space.dist[center, None] < radius)[0]
     if universe == 0:
         return CoverResult(0, 0, True, 0)
     cands = [m & universe for m in _row_masks(2.0 * space.dist < radius)]
-    return _cover(universe, cands, exact_limit)
+    size = universe.bit_count()
+    if size <= exact_limit:
+        k = exact_min_cover(universe, cands)
+        return CoverResult(k, k, True, size)
+    lower = -(-size // max(m.bit_count() for m in cands))
+    return CoverResult(lower, greedy_cover(universe, cands), False, size)
 
 
-def _critical_radii(row: np.ndarray, doubled: np.ndarray) -> np.ndarray:
-    """Radii at which either the target ball (center distances row) or some
-    half-radius ball (all distances doubled) can change contents: midpoints
-    between consecutive breakpoints plus one value past the largest.  Open
-    balls are the same at every radius in (u, b] between breakpoints u < b,
-    so where the midpoint of adjacent floats rounds down to u, b stands in."""
-    vals = np.unique(np.concatenate(([0.0], row, doubled)))
-    mids = (vals[:-1] + vals[1:]) / 2.0
-    return np.append(np.where(mids > vals[:-1], mids, vals[1:]), vals[-1] + 1.0)
+def _cells(dist: np.ndarray, doubled: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Center, value v, target size and radius r of each cell, in (center, v)
+    order: per center x and distinct v in dist[x], the first critical radius
+    above v.  That is the midpoint of v and the next breakpoint b (distance
+    from x or doubled distance), b where the midpoint rounds down to v, or
+    v + 1 past the last; open balls are the same on (v, b], and B(x, r) is
+    {dist[x] <= v}."""
+    n = len(dist)
+    ordered = np.full((n, n + 1), np.inf)
+    ordered[:, :n] = dist
+    ordered.sort(axis=1)
+    centers, cols = np.nonzero(ordered[:, :-1] != ordered[:, 1:])  # each run's last
+    vals = ordered[centers, cols]
+    after = ordered[centers, cols + 1]
+    np.minimum(after, np.append(doubled, np.inf)[np.searchsorted(doubled, vals, "right")], out=after)
+    radii = (vals + after) / 2.0
+    np.copyto(radii, after, where=radii <= vals)
+    np.copyto(radii, vals + 1.0, where=after == np.inf)
+    return centers, vals, cols + 1, radii
+
+
+def _ball_words(ranks: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Packed half-radius balls at each level, ranks < level, compared a few
+    levels at a time so that no boolean array exceeds BATCH_BYTES."""
+    balls = np.empty((len(levels), len(ranks), ranks.shape[1] // 64), dtype="<u8")
+    step = max(1, BATCH_BYTES // ranks.size)
+    for k in range(0, len(levels), step):
+        balls[k : k + step] = _pack_words(ranks < levels[k : k + step, None, None])
+    return balls
+
+
+def _pack_words(rows: np.ndarray) -> np.ndarray:
+    """Little-endian uint64 words of boolean rows whose length is a multiple
+    of 64: bit j of a row is bit j % 64 of its word j // 64."""
+    words = np.packbits(rows, axis=None, bitorder="little").view("<u8")
+    return words.reshape(*rows.shape[:-1], -1)
 
 
 def doubling_constant(
@@ -145,18 +181,19 @@ def doubling_constant(
     While the target ball B(x, r) stays the same, the half-radius balls only
     grow with r, so neither the minimum cover nor the counting lower bound
     can rise.  Only the first critical radius above each distinct value of
-    dist[x] is examined, at most n cells per center; below the smallest one,
-    0 on the diagonal, the target is empty.
+    dist[x] is examined, at most n cells per center.
 
-    The targets of one center are packed in one call.  The half-radius
-    balls of a cell depend only on its level, the number of distinct doubled
-    distances below r (2d < r is exact where r/2 would round), so they are
-    packed once per level and reused.  A cell whose target size, or number
-    of distinct nonempty candidate sets, is at most the best lower bound so
-    far is not solved: each set of a cover, greedy's too, is a different
-    candidate adding a point, so its exact cover, greedy cover and counting
-    bound are all at most that count; it can raise neither bound nor move
-    the witness (the first cell with a larger upper).
+    Batches of cells, across centers and at most BATCH_BYTES of packed
+    traces, get their greedy size and counting bound ceil(size / largest
+    trace) from one greedy_cover_batch; a half-radius ball is 2 dist < r,
+    exact where r/2 would round.  Then, in (center, radius) order, a target
+    of more than exact_limit points takes (counting, greedy); a smaller one
+    is exact, settled when the two meet, skipped when greedy is at most the
+    best lower bound so far, else solved by exact_min_cover.  A cell whose
+    target size is at most the best lower bound is skipped before it is
+    bounded.  A skipped cell's bounds are all at most the best lower bound,
+    so it can raise neither bound nor move the witness (the first cell with
+    a larger upper).
 
     Breakpoints reach twice the diameter and midpoints sum two of them, so
     a diameter above a quarter of the largest float is a ValueError.
@@ -166,43 +203,51 @@ def doubling_constant(
             f"doubling needs a diameter of at most {MAX_DOUBLING_DIAMETER!r}, "
             f"got {space.diameter()!r}: its critical radii would overflow a float"
         )
+    n = space.n
+    words = -(-n // 64)
+    doubled = _distinct(2.0 * space.dist)
+    # 2 d < r exactly when the rank of 2 d among the doubled distances is
+    # below r's level, the number of them below r; columns past n are in no
+    # ball.  Small integer ranks compare several times faster than floats.
+    rank_type = np.min_scalar_type(len(doubled))
+    ranks = np.full((n, 64 * words), len(doubled), dtype=rank_type)
+    ranks[:, :n] = np.searchsorted(doubled, 2.0 * space.dist)
+    centers, vals, sizes, radii = _cells(space.dist, doubled)
+    levels = np.searchsorted(doubled, radii).astype(rank_type)
+    reach = np.searchsorted(doubled, 2.0 * vals, "right").astype(rank_type)  # target 2 d <= 2 v
+    batch = max(1, BATCH_BYTES // (8 * n * words))
     best_lower, best_upper = 1, 1
     wit_center, wit_radius = 0, 0.0
-    cells = 0
-    twice = 2.0 * space.dist
-    doubled = np.unique(twice)
-    halves: dict[int, list[int]] = {}  # level -> packed rows of 2 dist < r
-    for x in range(space.n):
-        row = space.dist[x]
-        radii = _critical_radii(row, doubled)
-        radii = radii[np.searchsorted(radii, np.unique(row), side="right")]
-        targets = _row_masks(row < radii[:, None])
-        levels = np.searchsorted(doubled, radii).tolist()
-        for r, universe, level in zip(radii.tolist(), targets, levels):
-            cells += 1
-            if universe.bit_count() <= best_lower:
-                continue
-            balls = halves.get(level)
-            if balls is None:
-                balls = halves[level] = _row_masks(twice < r)
-            # dropping repeats and empty sets keeps greedy's picks, since it
-            # takes the lowest index among ties
-            cands = [m for m in dict.fromkeys(m & universe for m in balls) if m]
-            if len(cands) <= best_lower:
-                continue
-            res = _cover(universe, cands, exact_limit)
-            if res.upper > best_upper:
-                best_upper = res.upper
-                wit_center, wit_radius = x, r
-            if res.lower > best_lower:
-                best_lower = res.lower
+    todo = np.flatnonzero(sizes > best_lower)
+    while len(todo):
+        cells, todo = todo[:batch], todo[batch:]
+        targets = _pack_words(ranks[centers[cells]] < reach[cells, None])
+        traces = _ball_words(ranks, levels[cells])
+        traces &= targets[:, None]
+        largest, upper = greedy_cover_batch(targets, traces)
+        lower = -(-sizes[cells] // largest)
+        # small cells where counting and greedy disagree, in order, each
+        # against the best lower bound of the cells before it; one left
+        # unsolved has both bounds at most that lower bound, which is at most
+        # the upper of an earlier cell, so it moves no maximum or witness
+        for i in np.flatnonzero((sizes[cells] <= exact_limit) & (lower < upper)).tolist():
+            if upper[i] > max(best_lower, lower[:i].max(initial=0)):
+                universe = int.from_bytes(targets[i].tobytes(), "little")
+                lower[i] = upper[i] = exact_min_cover(universe, _row_ints(traces[i]))
+        top = upper.argmax()
+        if upper[top] > best_upper:
+            best_upper = int(upper[top])
+            wit_center, wit_radius = int(centers[cells[top]]), float(radii[cells[top]])
+        if lower.max() > best_lower:
+            best_lower = int(lower.max())
+            todo = todo[sizes[todo] > best_lower]
     return DoublingReport(
         lower=best_lower,
         upper=best_upper,
         exact=best_lower == best_upper,
         witness_center=space.labels[wit_center],
         witness_radius=wit_radius,
-        critical_radii_examined=cells,
+        critical_radii_examined=len(radii),
     )
 
 
@@ -289,7 +334,7 @@ def weak_doubling_constant(
         everything = (1 << n) - 1
         iu, ju = np.triu_indices(n, 1)
         pairs = d[iu, ju]
-        vals = np.unique(pairs)
+        vals = _distinct(pairs)
         order = np.argsort(pairs, kind="stable")
         us, vs = iu[order].tolist(), ju[order].tolist()
         ends = np.searchsorted(pairs[order], vals, side="right").tolist()

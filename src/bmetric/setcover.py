@@ -1,6 +1,6 @@
 """Minimum set cover sizes on bitmask-encoded instances (bit i is element i).
 
-Both functions answer the size of a cover, not its sets.  The exact size
+The functions answer the size of a cover, not its sets.  The exact size
 comes from branch-and-bound that bounds before it builds: the greedy size on
 the distinct sets is the incumbent and ceil(|universe| / largest set) the
 counting bound, and when the two meet the greedy size is the answer.  Only
@@ -14,9 +14,13 @@ Algorithms*, 2001, ch. 13).  The first of them is the element the node
 branches on, over the sets covering it, largest first.  Any admissible bound
 returns the same minimum.  Intended for the small covers that appear in
 doubling-constant computations (target sets of a couple dozen elements).
+``greedy_cover_batch`` runs the greedy on many instances at once, packed in
+uint64 words, with ``np.bitwise_count`` for the gains.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def greedy_cover(universe: int, masks: list[int]) -> int:
@@ -92,3 +96,45 @@ def exact_min_cover(universe: int, masks: list[int]) -> int:
 
     descend(universe, 0)
     return best
+
+
+def _popcounts(counts: np.ndarray) -> np.ndarray:
+    """Set bits of each row of words from the bit counts of its words, added
+    word by word: a numpy reduction over so short an axis costs more."""
+    if counts.shape[-1] == 1:
+        return counts[..., 0]
+    total = counts[..., 0].astype(np.uint16)
+    for w in range(1, counts.shape[-1]):
+        total += counts[..., w]
+    return total
+
+
+def greedy_cover_batch(
+    universes: np.ndarray, masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Largest set and greedy_cover's size for many instances at once, on
+    uint64 words: universes (instances, words), and masks (instances, sets,
+    words), each set inside its universe and the universe their union.
+    Each step takes the first set of largest gain; a repeated or empty set
+    never wins that, so dropping them changes no pick.  An instance leaves
+    once covered."""
+    count = len(universes)
+    work = np.empty_like(masks)
+    counts = np.empty(masks.shape, dtype=np.uint8)
+    gains = _popcounts(np.bitwise_count(masks, out=counts))
+    largest = gains.max(1).astype(np.int64)
+    picks = np.zeros(count, dtype=np.int64)
+    live = np.arange(count)
+    uncovered = universes.copy()
+    while True:
+        uncovered &= ~masks[live, gains.argmax(1)]
+        picks[live] += 1
+        left = uncovered.any(1)
+        if not left.all():
+            live, uncovered = live[left], uncovered[left]
+        k = len(live)
+        if not k:
+            return largest, picks
+        sets = masks if k == count else np.take(masks, live, 0, work[:k], "clip")
+        np.bitwise_and(sets, uncovered[:, None], out=work[:k])
+        gains = _popcounts(np.bitwise_count(work[:k], out=counts[:k]))

@@ -16,16 +16,13 @@ build the same matrices.  ``broadcast_closure`` and
 kernels.
 """
 
+from bisect import bisect_right
 from itertools import combinations, permutations
 
 import numpy as np
 
 from bmetric import DoublingReport, WeakDoublingReport
-from bmetric.doubling import (
-    _critical_radii,
-    _half_diameter_cover,
-    cover_requirement,
-)
+from bmetric.doubling import _half_diameter_cover, cover_requirement
 
 
 def loop_max_triple_ratio(dist):
@@ -206,26 +203,34 @@ def loop_doubling_constant(space, exact_limit):
                           space.labels[wit_center], wit_radius, cells)
 
 
+def loop_cells(dist):
+    """(center, radius) of each cell ``doubling_constant`` examines, in
+    order: per center, the first of its ``loop_critical_radii`` above each
+    distinct distance from it."""
+    cells = []
+    for x in range(dist.shape[0]):
+        radii = loop_critical_radii(dist, x)
+        for v in sorted(set(dist[x].tolist())):
+            cells.append((x, radii[bisect_right(radii, v)]))
+    return cells
+
+
 def cell_doubling_constant(space, exact_limit):
     """Doubling constant by a cover of every cell ``doubling_constant``
-    examines, the first critical radius above each distinct center distance,
-    with the library's ``cover_requirement`` per cell: no cell is skipped and
-    every half-radius ball is packed again."""
+    examines, as ``loop_cells`` lists them, with the library's
+    ``cover_requirement`` per cell: no cell is skipped and every half-radius
+    ball is packed again."""
     best_lower, best_upper = 1, 1
     wit_center, wit_radius = 0, 0.0
     cells = 0
-    doubled = 2.0 * np.unique(space.dist)
-    for x in range(space.n):
-        row = space.dist[x]
-        radii = _critical_radii(row, doubled)
-        for r in radii[np.searchsorted(radii, np.unique(row), side="right")].tolist():
-            cells += 1
-            res = cover_requirement(space, x, r, exact_limit)
-            if res.upper > best_upper:
-                best_upper = res.upper
-                wit_center, wit_radius = x, r
-            if res.lower > best_lower:
-                best_lower = res.lower
+    for x, r in loop_cells(space.dist):
+        cells += 1
+        res = cover_requirement(space, x, r, exact_limit)
+        if res.upper > best_upper:
+            best_upper = res.upper
+            wit_center, wit_radius = x, r
+        if res.lower > best_lower:
+            best_lower = res.lower
     return DoublingReport(best_lower, best_upper, best_lower == best_upper,
                           space.labels[wit_center], wit_radius, cells)
 

@@ -238,7 +238,7 @@ def _count_calls(monkeypatch, name):
 
 
 class TestPackOnceAndSkip:
-    """Half-radius balls packed once per level, and no cover solved for a
+    """Every cell bounded by one batched greedy, and no cover solved for a
     cell that cannot raise the bracket, give the per-cell loop's report."""
 
     @pytest.mark.parametrize("exact_limit", [15, 6, 4, 0])
@@ -252,25 +252,37 @@ class TestPackOnceAndSkip:
         assert doubling_constant(space, exact_limit).to_dict() == \
             cell_doubling_constant(space, exact_limit).to_dict()
 
-    @pytest.mark.parametrize("space", [
-        random_bmetric(30, 2.0, seed=0), snowflaked_grid(6, 0.5), example31(12),
+    # point counts on both sides of one and two 64-bit words
+    @pytest.mark.parametrize("exact_limit", [15, 0])
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    @pytest.mark.parametrize("family", ["bmetric", "euclidean"])
+    def test_matches_per_cell_loop_at_word_boundaries(self, family, n, exact_limit):
+        space = random_bmetric(n, 2.0, seed=n) if family == "bmetric" else \
+            euclidean_points(n, 2, seed=n)
+        assert doubling_constant(space, exact_limit).to_dict() == \
+            cell_doubling_constant(space, exact_limit).to_dict()
+
+    @pytest.mark.parametrize("space, most", [
+        (random_bmetric(30, 2.0, seed=0), 10), (snowflaked_grid(6, 0.5), 0), (example31(12), 0),
     ], ids=["bmetric", "grid", "hub"])
-    def test_packs_once_per_level_and_solves_few_cells(self, space, monkeypatch):
-        # the per-cell loop packs twice per cell (1,800 calls on the b-metric)
-        # and solves 450 exact covers there
-        packs = _count_calls(monkeypatch, "_row_masks")
+    def test_never_runs_greedy_and_solves_few_cells(self, space, most, monkeypatch):
+        # the batched greedy stands in for every per-cell greedy_cover, and it
+        # settles most small cells: the per-cell loop solves 450 exact covers
+        # on the b-metric, and packing balls once per level still solved 185
+        greedies = _count_calls(monkeypatch, "greedy_cover")
         covers = _count_calls(monkeypatch, "exact_min_cover")
-        rep = doubling_constant(space)
-        assert packs["n"] <= space.n + len(np.unique(space.dist))
-        assert covers["n"] < rep.critical_radii_examined
+        doubling_constant(space)
+        assert greedies["n"] == 0
+        assert covers["n"] <= most
 
     def test_cells_tying_the_lower_bound_are_not_solved(self, uniform6, monkeypatch):
         # singleton targets and every full ball after the first tie the best
-        # lower bound (1, then 6), so one cover of the twelve cells is solved
+        # lower bound (1, then 6), and the one cell left, the first full
+        # ball, has counting bound 6 / 1 equal to its greedy 6: no search
         covers = _count_calls(monkeypatch, "exact_min_cover")
         rep = doubling_constant(uniform6)
         assert (rep.value, rep.critical_radii_examined) == (6, 12)
-        assert covers["n"] == 1
+        assert covers["n"] == 0
 
 
 class TestWeakDoubling:

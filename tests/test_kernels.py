@@ -8,6 +8,8 @@ path: only `polygonal_constant` may run `floyd_warshall`.  Another keeps the
 doubling covers off the list-valued `ball()`.
 """
 
+import functools
+import operator
 import tracemalloc
 import warnings
 
@@ -36,13 +38,15 @@ from bmetric import (
     weak_doubling_constant,
 )
 from bmetric.doubling import (
-    _critical_radii,
+    _cells,
+    _distinct,
     _row_masks,
     _threshold_adjacency,
     ball,
     cover_requirement,
 )
 from bmetric.embed import _pairwise_norms
+from bmetric.setcover import greedy_cover, greedy_cover_batch
 from bmetric.shortest_path import (
     _pivot_sums,
     floyd_warshall,
@@ -54,8 +58,9 @@ from oracles import (
     broadcast_pairwise_norms,
     brute_min_cover,
     loop_ball_mask,
-    loop_critical_radii,
+    loop_cells,
     loop_floyd_warshall,
+    loop_greedy_cover,
     loop_max_triple_ratio,
     loop_predecessors,
     loop_threshold_adjacency,
@@ -252,6 +257,12 @@ class TestQuadraticMemory:
         d = random_bmetric(self.N, 2.0, seed=0).dist
         assert _peak_float64s(closure, d) <= ceiling * self.N ** 2
 
+    # the cell list and one batch of packed traces, under 128 n² bytes; a
+    # cache of the half-radius balls of every level took 760-1,050 n²
+    def test_doubling_constant(self):
+        s = random_bmetric(self.N, 2.0, seed=0)
+        assert _peak_float64s(doubling_constant, s) <= 16 * self.N ** 2
+
 
 class TestChainPathNeedsNoPredecessors:
     @pytest.fixture
@@ -310,13 +321,52 @@ class TestPackedMasks:
                 assert res.upper == brute_min_cover(target, sets), (c, r)
 
     @pytest.mark.parametrize("family", sorted({**FAMILIES, **TIE_FAMILIES}))
+    def test_distinct_matches_unique(self, family):
+        d = {**FAMILIES, **TIE_FAMILIES}[family]().dist
+        for values in (d, 2.0 * d, d[np.triu_indices(len(d), 1)], d[:0]):
+            assert _distinct(values).tobytes() == np.unique(values).tobytes()
+
+    @pytest.mark.parametrize("family", sorted({**FAMILIES, **TIE_FAMILIES}))
     def test_critical_radii_match_set_formula(self, family):
         d = {**FAMILIES, **TIE_FAMILIES}[family]().dist
-        doubled = 2.0 * np.unique(d)
-        for center in range(d.shape[0]):
-            radii = _critical_radii(d[center], doubled)
-            assert radii.dtype == np.float64
-            assert radii.tobytes() == np.array(loop_critical_radii(d, center)).tobytes()
+        centers, vals, sizes, radii = _cells(d, np.unique(2.0 * d))
+        assert radii.dtype == np.float64
+        expected = loop_cells(d)
+        assert list(zip(centers.tolist(), radii.tolist())) == expected
+        assert vals.tolist() == [d[x][d[x] < r].max() for x, r in expected]
+        assert sizes.tolist() == [int((d[x] < r).sum()) for x, r in expected]
+
+
+# few bit positions, so sets repeat, tie on gains or are empty, on both
+# sides of the first two 64-bit word boundaries
+_MASK = st.frozensets(st.sampled_from([0, 1, 2, 63, 64, 65, 100, 127, 128, 150]), max_size=5).map(
+    lambda bits: sum(1 << b for b in bits))
+
+
+def _words(masks, words):
+    return np.array([[m >> 64 * w & (1 << 64) - 1 for w in range(words)] for m in masks],
+                    dtype=np.uint64)
+
+
+class TestBatchedGreedy:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(_MASK, min_size=n, max_size=n), min_size=1, max_size=5)))
+    def test_matches_greedy_cover_per_cell(self, cells):
+        # each cell's target is the union of its sets, as a ball's is the
+        # union of the half-radius balls on it
+        targets = [functools.reduce(operator.or_, masks) for masks in cells]
+        cells = [masks for masks, t in zip(cells, targets) if t]
+        targets = [t for t in targets if t]
+        if not targets:
+            return
+        words = -(-max(t.bit_length() for t in targets) // 64)
+        largest, picks = greedy_cover_batch(
+            _words(targets, words), np.stack([_words(masks, words) for masks in cells]))
+        for target, masks, big, k in zip(targets, cells, largest.tolist(), picks.tolist()):
+            assert k == greedy_cover(target, masks) == len(loop_greedy_cover(target, masks))
+            assert k == greedy_cover(target, [m for m in dict.fromkeys(masks) if m])
+            assert big == max(m.bit_count() for m in masks)
 
 
 class TestDoublingNeedsNoBallLists:
