@@ -229,11 +229,17 @@ def doubling_constant(
         # small cells where counting and greedy disagree, in order, each
         # against the best lower bound of the cells before it; one left
         # unsolved has both bounds at most that lower bound, which is at most
-        # the upper of an earlier cell, so it moves no maximum or witness
+        # the upper of an earlier cell, so it moves no maximum or witness.
+        # That bound is the larger of the counting bounds before the cell and
+        # the sizes solved before it, none of which is below its own counting
+        # bound.
+        counted = [0, *np.maximum.accumulate(lower).tolist()]  # max of lower[:i]
+        floor = best_lower
         for i in np.flatnonzero((sizes[cells] <= exact_limit) & (lower < upper)).tolist():
-            if upper[i] > max(best_lower, lower[:i].max(initial=0)):
+            if upper[i] > max(floor, counted[i]):
                 universe = int.from_bytes(targets[i].tobytes(), "little")
-                lower[i] = upper[i] = exact_min_cover(universe, _row_ints(traces[i]))
+                lower[i] = upper[i] = size = exact_min_cover(universe, _row_ints(traces[i]))
+                floor = max(floor, size)
         top = upper.argmax()
         if upper[top] > best_upper:
             best_upper = int(upper[top])
@@ -317,8 +323,11 @@ def weak_doubling_constant(
     a bracket from 200 random subsets of at most that many points (seed 0).
 
     Graphs are keyed by level: level k is {d <= k-th smallest distance},
-    edgeless at 0.  Each level's clique list and each (set, level) exact
-    cover is computed at most once per call."""
+    edgeless at 0, each grown from the one below by the pairs at its
+    distance.  Each level's clique list and each (set, level) cover is
+    computed at most once per call; a cover whose greedy size is below the
+    best value so far stays greedy, since no size below it changes the
+    report."""
     n = space.n
     d = space.dist
     limit = min(exact_limit, WEAK_EXACT_CAP)
@@ -341,10 +350,15 @@ def weak_doubling_constant(
         half_levels = np.searchsorted(vals, _half_threshold(vals), side="right").tolist()
         adjs = [[0] * n]  # by level; a half level is below the level it serves
         halves = functools.cache(lambda k: _maximal_cliques(adjs[k], 0, everything))
-        cover = functools.cache(lambda c, k: exact_min_cover(c, halves(k)))
+        # below best a size can neither raise best, join good nor pass the
+        # witness test, and best never falls: greedy sizes below it will do
+        cover = functools.cache(lambda c, k: exact_min_cover(c, halves(k), best))
         best, good, start = 1, [], 0
-        for s, end, half in zip(vals.tolist(), ends, half_levels):
-            adj = _threshold_adjacency(d, s)
+        for end, half in zip(ends, half_levels):
+            adj = adjs[-1].copy()  # the pairs at this level's distance join the last
+            for u, v in zip(us[start:end], vs[start:end]):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
             adjs.append(adj)
             born = dict.fromkeys(
                 c

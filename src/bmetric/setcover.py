@@ -3,7 +3,9 @@
 The functions answer the size of a cover, not its sets.  The exact size
 comes from branch-and-bound that bounds before it builds: the greedy size on
 the distinct sets is the incumbent and ceil(|universe| / largest set) the
-counting bound, and when the two meet the greedy size is the answer.  Only
+counting bound, and when the two meet the greedy size is the answer.  A
+caller that needs only sizes of at least some floor gets the greedy size when
+it is below that floor: the minimum is no larger, so it is below too.  Only
 otherwise are the sets contained in another dropped and the branching order
 fixed: fewest covering sets first, the lowest bit among ties.  Each node
 prunes on the counting bound of what is left, then on a packing bound:
@@ -40,15 +42,17 @@ def greedy_cover(universe: int, masks: list[int]) -> int:
     return picks
 
 
-def exact_min_cover(universe: int, masks: list[int]) -> int:
-    """Size of a minimum-cardinality cover of universe."""
+def exact_min_cover(universe: int, masks: list[int], floor: int = 0) -> int:
+    """Size of a minimum-cardinality cover of universe, or, when the greedy
+    size is below floor, that greedy size: a cover size in [minimum, floor),
+    for a caller to whom any size below floor is the same answer."""
     if universe == 0:
         return 0
     # distinct sets inside universe, largest first
     traces = sorted({m & universe for m in masks}, key=int.bit_count, reverse=True)
     best = greedy_cover(universe, traces)
     max_size = traces[0].bit_count()
-    if -(-universe.bit_count() // max_size) >= best:
+    if best < floor or -(-universe.bit_count() // max_size) >= best:
         return best
 
     # without those contained in a set kept before them (the empty set too)

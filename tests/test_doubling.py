@@ -18,6 +18,7 @@ from bmetric import (
     weak_doubling_constant,
 )
 from bmetric import doubling as doubling_mod
+from bmetric import setcover as setcover_mod
 from bmetric.doubling import (
     CoverResult,
     DoublingReport,
@@ -237,18 +238,29 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _tie_heavy(n):
+    """n points at integer distances 1 to 4."""
+    upper = np.triu(np.random.default_rng(n).integers(1, 5, (n, n)), 1).astype(float)
+    return SemimetricSpace(tuple(f"p{i}" for i in range(n)), upper + upper.T)
+
+
 class TestPackOnceAndSkip:
     """Every cell bounded by one batched greedy, and no cover solved for a
     cell that cannot raise the bracket, give the per-cell loop's report."""
 
-    @pytest.mark.parametrize("exact_limit", [15, 6, 4, 0])
+    @pytest.mark.parametrize("exact_limit", [None, 15, 6, 4, 0])  # None: every cell small
     @pytest.mark.parametrize("space", [
         random_bmetric(18, 2.0, seed=2),
         euclidean_points(18, 2, seed=3),
         snowflaked_grid(4, 0.5),
         example31(7),
-    ], ids=["bmetric", "euclidean", "grid", "hub"])
+        # distances 1 to 4 tie often, so a batch holds many small cells where
+        # greedy and counting disagree, each settled against the counting
+        # bounds and the sizes solved before it
+        *(_tie_heavy(n) for n in range(5, 15)),
+    ], ids=["bmetric", "euclidean", "grid", "hub", *(f"ties-{n}" for n in range(5, 15))])
     def test_matches_per_cell_loop(self, space, exact_limit):
+        exact_limit = space.n if exact_limit is None else exact_limit
         assert doubling_constant(space, exact_limit).to_dict() == \
             cell_doubling_constant(space, exact_limit).to_dict()
 
@@ -391,12 +403,40 @@ class TestWeakDoubling:
         seen = []
         cover = doubling_mod.exact_min_cover
         monkeypatch.setattr(doubling_mod, "exact_min_cover",
-                            lambda u, masks: seen.append((u, tuple(masks))) or cover(u, masks))
+                            lambda u, masks, *rest: seen.append((u, tuple(masks))) or
+                            cover(u, masks, *rest))
         for s in (euclidean_points(14, 2, seed=1), doubling_not_weak(7, 7), example31(6),
                   random_bmetric(12, 2.0, seed=3)):
             seen.clear()
             assert weak_doubling_constant(s, exact_limit=s.n).exact
             assert len(seen) == len(set(seen)), s.n
+
+    def test_graphs_grow_and_covers_below_the_value_start_no_search(self, monkeypatch):
+        # each threshold graph is the one below it plus the pairs at its
+        # distance, so none is built from the matrix; a clique whose greedy
+        # cover is below the value so far starts no branch-and-bound search
+        # (a descend call at depth 0): 514 did when every cover was exact
+        built = _count_calls(monkeypatch, "_threshold_adjacency")
+        searches = 0
+
+        def hook(frame, event, arg):
+            nonlocal searches
+            code = frame.f_code
+            if event == "call" and code.co_name == "descend" and \
+                    code.co_filename == setcover_mod.__file__ and frame.f_locals["depth"] == 0:
+                searches += 1
+
+        spaces = [random_bmetric(14, 2.0, seed=0), random_bmetric(14, 2.0, seed=1),
+                  euclidean_points(14, 2, seed=0), euclidean_points(14, 2, seed=1),
+                  doubling_not_weak(7, 7), example31(6)]
+        sys.setprofile(hook)
+        try:
+            for s in spaces:
+                assert weak_doubling_constant(s, exact_limit=14).exact
+        finally:
+            sys.setprofile(None)
+        assert built["n"] == 0
+        assert searches <= 300
 
     def test_clique_lists_are_few_and_small(self, monkeypatch):
         # the exact path lists the cliques of each half graph once (32 whole

@@ -1,10 +1,13 @@
 """Set cover sizes against the earlier index-returning cover and brute force,
-and the search nodes (``descend`` calls) the exact cover's bounds leave."""
+the search nodes (``descend`` calls) the exact cover's bounds leave, and the
+sizes it may answer below a floor."""
 
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bmetric.doubling as doubling_mod
 import bmetric.setcover as setcover_mod
@@ -164,3 +167,31 @@ def test_weak_doubling_search_stays_small(monkeypatch):
                                random_bmetric(24, 2.0, seed=0), 24)
     assert (rep.lower, rep.upper, rep.exact) == (7, 7, True)
     assert nodes <= 60_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_floor_answers_the_minimum_or_a_size_below_the_floor(rng):
+    universe, masks = random_instance(rng)
+    minimum = brute_min_cover(_elements(universe), map(_elements, masks))
+    assert exact_min_cover(universe, masks, 0) == exact_min_cover(universe, masks) == \
+        len(loop_exact_min_cover(universe, masks)) == minimum
+    # the incumbent: greedy on the distinct traces, largest first
+    traces = sorted({m & universe for m in masks}, key=int.bit_count, reverse=True)
+    incumbent = greedy_cover(universe, traces)
+    for floor in range(universe.bit_count() + 2):
+        size, nodes = _search_nodes(exact_min_cover, universe, masks, floor)
+        assert size == minimum or minimum <= size < floor, floor
+        if incumbent < floor:
+            assert (size, nodes) == (incumbent, 0), floor
+        else:
+            assert size == minimum, floor
+
+
+@pytest.mark.parametrize("floor, size, nodes", [(0, 2, 3), (3, 2, 3), (4, 3, 0), (7, 3, 0)])
+def test_a_floor_above_the_greedy_size_leaves_it_unsearched(floor, size, nodes):
+    # greedy takes {0,1,2,3} and then needs two more sets, where {0,2,4} and
+    # {1,3,5} alone cover: a floor of at most greedy's 3 still finds the 2
+    masks = [0b001111, 0b010101, 0b101010]
+    assert greedy_cover(0b111111, masks) == 3
+    assert _search_nodes(exact_min_cover, 0b111111, masks, floor) == (size, nodes)
