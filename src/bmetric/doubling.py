@@ -135,12 +135,14 @@ def cover_requirement(
 
 
 def _cells(dist: np.ndarray, doubled: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Center, value v, target size and radius r of each cell, in (center, v)
-    order: per center x and distinct v in dist[x], the first critical radius
-    above v.  That is the midpoint of v and the next breakpoint b (distance
-    from x or doubled distance), b where the midpoint rounds down to v, or
-    v + 1 past the last; open balls are the same on (v, b], and B(x, r) is
-    {dist[x] <= v}."""
+    """Center, value v, target size, radius r and level of each cell, in
+    (center, v) order: per center x and distinct v in dist[x], the first
+    critical radius above v.  That is the midpoint of v and the next
+    breakpoint b (distance from x or doubled distance), b where the midpoint
+    rounds down to v, or v + 1 past the last; open balls are the same on
+    (v, b], and B(x, r) is {dist[x] <= v}.  No doubled distance lies in
+    (v, r), so the level, the number of doubled distances below r, is the
+    number at most v."""
     n = len(dist)
     ordered = np.full((n, n + 1), np.inf)
     ordered[:, :n] = dist
@@ -148,21 +150,12 @@ def _cells(dist: np.ndarray, doubled: np.ndarray) -> tuple[np.ndarray, ...]:
     centers, cols = np.nonzero(ordered[:, :-1] != ordered[:, 1:])  # each run's last
     vals = ordered[centers, cols]
     after = ordered[centers, cols + 1]
-    np.minimum(after, np.append(doubled, np.inf)[np.searchsorted(doubled, vals, "right")], out=after)
+    levels = np.searchsorted(doubled, vals, "right")
+    np.minimum(after, np.append(doubled, np.inf)[levels], out=after)
     radii = (vals + after) / 2.0
     np.copyto(radii, after, where=radii <= vals)
     np.copyto(radii, vals + 1.0, where=after == np.inf)
-    return centers, vals, cols + 1, radii
-
-
-def _ball_words(ranks: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Packed half-radius balls at each level, ranks < level, compared a few
-    levels at a time so that no boolean array exceeds BATCH_BYTES."""
-    balls = np.empty((len(levels), len(ranks), ranks.shape[1] // 64), dtype="<u8")
-    step = max(1, BATCH_BYTES // ranks.size)
-    for k in range(0, len(levels), step):
-        balls[k : k + step] = _pack_words(ranks < levels[k : k + step, None, None])
-    return balls
+    return centers, vals, cols + 1, radii, levels
 
 
 def _pack_words(rows: np.ndarray) -> np.ndarray:
@@ -212,8 +205,8 @@ def doubling_constant(
     rank_type = np.min_scalar_type(len(doubled))
     ranks = np.full((n, 64 * words), len(doubled), dtype=rank_type)
     ranks[:, :n] = np.searchsorted(doubled, 2.0 * space.dist)
-    centers, vals, sizes, radii = _cells(space.dist, doubled)
-    levels = np.searchsorted(doubled, radii).astype(rank_type)
+    centers, vals, sizes, radii, levels = _cells(space.dist, doubled)
+    levels = levels.astype(rank_type)
     reach = np.searchsorted(doubled, 2.0 * vals, "right").astype(rank_type)  # target 2 d <= 2 v
     batch = max(1, BATCH_BYTES // (8 * n * words))
     best_lower, best_upper = 1, 1
@@ -222,7 +215,7 @@ def doubling_constant(
     while len(todo):
         cells, todo = todo[:batch], todo[batch:]
         targets = _pack_words(ranks[centers[cells]] < reach[cells, None])
-        traces = _ball_words(ranks, levels[cells])
+        traces = _pack_words(ranks < levels[cells, None, None])
         traces &= targets[:, None]
         largest, upper = greedy_cover_batch(targets, traces)
         lower = -(-sizes[cells] // largest)
@@ -268,10 +261,8 @@ def _maximal_cliques(adj: list[int], r: int, p: int) -> list[int]:
         if p == 0 and x == 0:
             out.append(r)
             return
-        px = p | x
-        pivot = (px & -px).bit_length() - 1
         best_deg = -1
-        scan = px
+        scan = p | x
         while scan:
             bit = scan & -scan
             v = bit.bit_length() - 1

@@ -153,7 +153,7 @@ def _coloring(d: np.ndarray, net: list[int], radius: float) -> dict[int, int]:
     """Greedy coloring of net points, conflicting below the given radius."""
     colors: dict[int, int] = {}
     for u in net:
-        used = {colors[v] for v in colors if v != u and d[u, v] < radius}
+        used = {colors[v] for v in colors if d[u, v] < radius}
         c = 0
         while c in used:
             c += 1

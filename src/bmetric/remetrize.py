@@ -50,7 +50,7 @@ class Remetrization:
             "epsilon": self.epsilon_target,
             "sandwich_lo": 1.0,  # max D/d^p (see _sandwich_hi)
             "sandwich_hi": self.sandwich_hi,
-            "D": [list(map(float, row)) for row in self.D],
+            "D": self.D.tolist(),
             "method": self.method,
             "search_trace": [{"p": p, "c": c} for p, c in self.search_trace],
         }

@@ -79,9 +79,7 @@ class SemimetricSpace:
     # ---- file formats ----------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"labels": list(self.labels), "matrix": [list(map(float, row)) for row in self.dist]}
-        )
+        return json.dumps({"labels": list(self.labels), "matrix": self.dist.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "SemimetricSpace":

@@ -579,6 +579,14 @@ class TestSandwichDoublingCheck:
             sandwich_doubling_check(s, inflated, alpha=2.0)
         assert err.value.pair == (0, 1)
 
+    def test_violated_high_side_raises_with_witness(self):
+        s = euclidean_points(5, 2, seed=2)
+        D = s.dist.copy()
+        D[1, 3] = D[3, 1] = s.dist[1, 3] / 3  # d = 3 D > 2 D at one pair only
+        with pytest.raises(SandwichError, match=r"^d > alpha\*D at pair \(1, 3\)$") as err:
+            sandwich_doubling_check(s, s.with_dist(D), alpha=2.0)
+        assert err.value.pair == (1, 3)
+
     @pytest.mark.parametrize("alpha", [
         1.0, 1.5, np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0), 4.0, 7.5, 1e10, 2.0 ** 1022,
     ])

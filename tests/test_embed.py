@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,15 @@ from bmetric import (
     random_bmetric,
     snowflaked_grid,
 )
-from bmetric.embed import DegenerateEmbeddingError, NonMetricError, _checked_norms, _coloring, _net
+from bmetric.certify import RTOL, CertificateViolation
+from bmetric.embed import (
+    DegenerateEmbeddingError,
+    NonMetricError,
+    _certify,
+    _checked_norms,
+    _coloring,
+    _net,
+)
 from conftest import path_graph_metric
 
 
@@ -123,6 +132,24 @@ class TestAssouadEmbed:
         lines = emb.coords_csv().splitlines()
         assert lines[0].startswith("label,x1,")
         assert len(lines) == 4
+
+
+class TestCertify:
+    def test_constant_below_the_distortion_names_the_first_violating_pair(self):
+        s = euclidean_points(15, 2, seed=7)
+        emb = assouad_embed(s, 0.75)
+        tight = dataclasses.replace(emb, C=0.99 * emb.C)
+        norms = emb.pairwise_norms()
+        powered = s.dist ** emb.alpha
+        bad = [
+            (i, j) for i in range(s.n) for j in range(s.n)
+            if i != j and not (powered[i, j] / tight.C <= norms[i, j] * (1 + RTOL)
+                               and norms[i, j] <= powered[i, j] * tight.C * (1 + RTOL))
+        ]
+        assert bad[0] == (3, 7)  # the upper side; the lower side first fails at (3, 9)
+        with pytest.raises(CertificateViolation,
+                           match=r"^bi-Lipschitz certificate failed at pair \(3, 7\)$"):
+            _certify(tight, s.dist)
 
 
 class TestPipeline:

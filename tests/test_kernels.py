@@ -257,8 +257,9 @@ class TestQuadraticMemory:
         d = random_bmetric(self.N, 2.0, seed=0).dist
         assert _peak_float64s(closure, d) <= ceiling * self.N ** 2
 
-    # the cell list and one batch of packed traces, under 128 n² bytes; a
-    # cache of the half-radius balls of every level took 760-1,050 n²
+    # the cell list and one batch of traces, packed and as the comparison
+    # they are packed from, under 128 n² bytes; a cache of the half-radius
+    # balls of every level took 760-1,050 n²
     def test_doubling_constant(self):
         s = random_bmetric(self.N, 2.0, seed=0)
         assert _peak_float64s(doubling_constant, s) <= 16 * self.N ** 2
@@ -328,13 +329,24 @@ class TestPackedMasks:
 
     @pytest.mark.parametrize("family", sorted({**FAMILIES, **TIE_FAMILIES}))
     def test_critical_radii_match_set_formula(self, family):
-        d = {**FAMILIES, **TIE_FAMILIES}[family]().dist
-        centers, vals, sizes, radii = _cells(d, np.unique(2.0 * d))
+        self._check_cells({**FAMILIES, **TIE_FAMILIES}[family]().dist)
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e300])
+    @pytest.mark.parametrize("family", sorted(TIE_FAMILIES))
+    def test_critical_radii_match_set_formula_at_extreme_scales(self, family, scale):
+        # subnormal midpoints round to a breakpoint; near 1e300 they sum two large floats
+        self._check_cells(TIE_FAMILIES[family]().dist * scale)
+
+    @staticmethod
+    def _check_cells(d):
+        doubled = np.unique(2.0 * d)
+        centers, vals, sizes, radii, levels = _cells(d, doubled)
         assert radii.dtype == np.float64
         expected = loop_cells(d)
         assert list(zip(centers.tolist(), radii.tolist())) == expected
         assert vals.tolist() == [d[x][d[x] < r].max() for x, r in expected]
         assert sizes.tolist() == [int((d[x] < r).sum()) for x, r in expected]
+        assert levels.tolist() == [int((doubled < r).sum()) for _, r in expected]
 
 
 # few bit positions, so sets repeat, tie on gains or are empty, on both
