@@ -1,8 +1,9 @@
 """Command-line front end: reproducible analysis runs with JSON reports.
 
-Exit codes: 0 = certified success, 1 = usage/structural/precondition error,
-2 = a certified inequality failed on this instance (a falsification finding,
-kept distinct from ordinary errors on purpose).  An internal error is never 2.
+Exit codes: 0 = certified success, 1 = usage/structural/precondition error
+or an allocation that ran out of memory, 2 = a certified inequality failed on
+this instance (a falsification finding, kept distinct from ordinary errors on
+purpose).  An internal error is never 2.
 """
 
 from __future__ import annotations
@@ -66,14 +67,26 @@ def _manifest(args, command: str, parameters: dict) -> dict:
     }
 
 
+def _dump(payload: dict, f) -> None:
+    # encoded chunk by chunk into f: no whole-document string is built
+    json.dump(payload, f, sort_keys=True, indent=2)
+    f.write("\n")
+
+
 def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as f:
+            _dump(payload, f)
         if not args.quiet:
             print(args.out)
     elif not args.quiet:
-        sys.stdout.write(text)
+        _dump(payload, sys.stdout)
+
+
+def _write_space(space: SemimetricSpace, path: str) -> None:
+    with open(path, "w") as f:
+        f.write(space.to_json())
+        f.write("\n")
 
 
 def _read_flags(args, option: str, names, reads) -> dict:
@@ -102,7 +115,7 @@ def cmd_generate(args) -> int:
     if args.format == "csv":
         Path(out).write_text(space.to_csv())
     else:
-        Path(out).write_text(space.to_json() + "\n")
+        _write_space(space, out)
     _emit(args, {"manifest": _manifest(args, "generate", params) | {"space_out": out},
                  "report": {"points": space.n, "family": args.family}})
     return EXIT_OK
@@ -122,9 +135,7 @@ def cmd_remetrize(args) -> int:
     else:
         rem = epsilon_remetrize(space, args.eps)
     if args.matrix_out:
-        Path(args.matrix_out).write_text(
-            space.with_dist(rem.D).to_json() + "\n"
-        )
+        _write_space(space.with_dist(rem.D), args.matrix_out)
     _emit(args, {"manifest": _manifest(args, "remetrize", {"eps": args.eps}),
                  "report": rem.to_dict()})
     return EXIT_OK
@@ -298,6 +309,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""  # numpy names the allocation that failed
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_ERROR
     except CertificateViolation as exc:
         print(f"falsification finding: {exc}", file=sys.stderr)

@@ -79,7 +79,10 @@ class SemimetricSpace:
     # ---- file formats ----------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps({"labels": list(self.labels), "matrix": self.dist.tolist()})
+        """`json.dumps({"labels": ..., "matrix": ...})`, one row at a time:
+        the n² entries never exist as Python floats all at once."""
+        rows = ", ".join(json.dumps(row.tolist()) for row in self.dist)
+        return f'{{"labels": {json.dumps(self.labels)}, "matrix": [{rows}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "SemimetricSpace":

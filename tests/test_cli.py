@@ -1,3 +1,4 @@
+import argparse
 import csv
 import inspect
 import io
@@ -12,6 +13,7 @@ from bmetric import (
     bmetric_assouad_pipeline,
     cli,
     converse_bound,
+    epsilon_remetrize,
     example31,
     random_bmetric,
     snowflaked_grid,
@@ -422,6 +424,16 @@ class TestViolationContract:
         report = json.loads(capsys.readouterr().out)["report"]
         assert report == {"theorem": "3.5", "holds": False, "detail": "C' > bound"}
 
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 7.45 GiB for an array"),
+         "error: out of memory (Unable to allocate 7.45 GiB for an array)\n"),
+    ])
+    def test_memory_error_exits_one(self, workdir, monkeypatch, capsys, exc, line):
+        self._raise(monkeypatch, "epsilon_remetrize", exc)
+        assert cli.main(["remetrize", str(workdir / "rb.json"), "--eps", "0.5"]) == 1
+        assert capsys.readouterr() == ("", line)
+
 
 class TestMatrixOut:
     def test_remetrize_writes_metric_matrix(self, workdir):
@@ -444,6 +456,49 @@ class TestMatrixOut:
         assert all(len(row) == N + 1 for row in rows)
         space = SemimetricSpace.from_json((workdir / "grid.json").read_text())
         assert [row[0] for row in rows[1:]] == list(space.labels)
+
+
+AWKWARD_LABELS = ('say "hi"', "back\\slash", "café", "two\nlines")
+EDGE_FLOATS = (-0.0, 5e-324, 1.7e308)
+EMIT_PAYLOADS = {
+    "remetrize": {
+        "manifest": cli._manifest(argparse.Namespace(in_path="rb.json", out="r.json"),
+                                  "remetrize", {"eps": 0.5}),
+        "report": epsilon_remetrize(random_bmetric(8, 2.0, seed=0), 0.5).to_dict(),
+    },
+    "nested": {"b": {"d": [1, {"f": None, "e": True}], "c": {}}, "a": [[], [2.5, "x", []]]},
+    "edge-floats": {"report": {"values": list(EDGE_FLOATS), "max": {"x": EDGE_FLOATS[-1]}}},
+    "labels": {"labels": list(AWKWARD_LABELS), **{label: label for label in AWKWARD_LABELS}},
+}
+
+
+class TestWritersAreByteIdentical:
+    """Reports and space files are encoded straight into their file or stream,
+    as the bytes of the whole-document `json.dumps`."""
+
+    @pytest.mark.parametrize("name", sorted(EMIT_PAYLOADS))
+    def test_out_file(self, tmp_path, capsys, name):
+        payload, out = EMIT_PAYLOADS[name], tmp_path / "report.json"
+        cli._emit(argparse.Namespace(out=str(out), quiet=False), payload)
+        assert out.read_bytes() == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        assert capsys.readouterr().out == f"{out}\n"
+
+    @pytest.mark.parametrize("name", sorted(EMIT_PAYLOADS))
+    def test_stdout(self, capsys, name):
+        payload = EMIT_PAYLOADS[name]
+        cli._emit(argparse.Namespace(out=None, quiet=False), payload)
+        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_space_files(self, tmp_path):
+        generated, matrix = tmp_path / "rb.json", tmp_path / "D.json"
+        assert cli.main(["generate", "--family", "random-bmetric", "--n", "9", "--K", "2",
+                         "--space-out", str(generated), "--quiet"]) == 0
+        assert cli.main(["remetrize", str(generated), "--eps", "0.5",
+                         "--matrix-out", str(matrix), "--quiet"]) == 0
+        space = random_bmetric(9, 2.0)
+        for path, dist in ((generated, space.dist), (matrix, epsilon_remetrize(space, 0.5).D)):
+            expected = json.dumps({"labels": list(space.labels), "matrix": dist.tolist()}) + "\n"
+            assert path.read_bytes() == expected.encode()
 
 
 class TestParserIsBuiltOnce:

@@ -8,6 +8,7 @@ path: only `polygonal_constant` may run `floyd_warshall`.  Another keeps the
 doubling covers off the list-valued `ball()`.
 """
 
+import argparse
 import functools
 import operator
 import tracemalloc
@@ -26,6 +27,7 @@ from bmetric import (
     assouad_embed,
     bmetric_assouad_pipeline,
     chain_metric,
+    cli,
     doubling_constant,
     epsilon_remetrize,
     euclidean_points,
@@ -263,6 +265,20 @@ class TestQuadraticMemory:
     def test_doubling_constant(self):
         s = random_bmetric(self.N, 2.0, seed=0)
         assert _peak_float64s(doubling_constant, s) <= 16 * self.N ** 2
+
+    # the report's D is encoded into the file chunk by chunk: 0.4 n²; one
+    # whole-document string, with its list of pieces, took 14.3 n²
+    def test_emit_remetrize_report(self, tmp_path):
+        rem = epsilon_remetrize(random_bmetric(self.N, 2.0, seed=0), 0.5)
+        args = argparse.Namespace(out=str(tmp_path / "report.json"), quiet=True)
+        payload = {"manifest": {}, "report": rem.to_dict()}
+        assert _peak_float64s(cli._emit, args, payload) <= 1 * self.N ** 2
+
+    # the row strings and their join, 5.0 n²; the n² entries as one list
+    # of Python floats took 17.1 n²
+    def test_space_to_json(self):
+        s = random_bmetric(self.N, 2.0, seed=0)
+        assert _peak_float64s(s.to_json) <= 6 * self.N ** 2
 
 
 class TestChainPathNeedsNoPredecessors:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from bmetric import (
     SemimetricSpace,
     chain_metric,
+    constants_report,
     doubling_constant,
+    epsilon_remetrize,
     euclidean_points,
     polygonal_constant,
     random_bmetric,
@@ -241,3 +243,27 @@ def test_doubling_bounds_the_cover_at_every_breakpoint(space):
     for x in range(space.n):
         for r in breaks.tolist():
             assert cover_requirement(space, x, r).lower <= upper, (x, r)
+
+
+# Scaling by a power of two is exact while every value stays a normal float:
+# distances in [2^-10, 2^10] scaled by 2^±1000 keep above 2^-1022 and below
+# 2^1024, with room for the halved radii and the sums of short chains.
+DYADIC_RANGE = st.floats(min_value=2.0 ** -10, max_value=2.0 ** 10)
+BINARY_SCALES = st.sampled_from([-1000, -500, 500, 1000])
+
+
+@given(semimetric_spaces(max_n=8, values=DYADIC_RANGE), BINARY_SCALES)
+@settings(max_examples=40, deadline=None)
+def test_constants_and_doubling_reports_are_scale_equivariant(space, k):
+    scaled = space.rescale(2.0 ** k)
+    assert constants_report(scaled).to_dict() == constants_report(space).to_dict()
+    assert weak_doubling_constant(scaled).to_dict() == weak_doubling_constant(space).to_dict()
+    report, base = doubling_constant(scaled).to_dict(), doubling_constant(space).to_dict()
+    assert report.pop("witness_radius") == base.pop("witness_radius") * 2.0 ** k
+    assert report == base
+
+
+@given(semimetric_spaces(max_n=8, values=DYADIC_RANGE), BINARY_SCALES)
+@settings(max_examples=40, deadline=None)
+def test_remetrize_exponent_is_scale_free(space, k):
+    assert epsilon_remetrize(space.rescale(2.0 ** k), 0.5).p == epsilon_remetrize(space, 0.5).p

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmetric import (
     SemimetricSpace,
@@ -23,6 +25,18 @@ from oracles import (
     loop_max_triple_ratio,
     loop_validate,
 )
+
+
+@st.composite
+def labelled_matrices(draw):
+    """Labels and a square matrix that need not be a semimetric: any floats,
+    NaN and infinities too, and labels with characters JSON escapes."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    awkward = st.sampled_from(['say "hi"', "back\\slash", "café", "two\nlines"])
+    labels = draw(st.lists(st.text() | awkward, min_size=n, max_size=n, unique=True))
+    edges = st.sampled_from([-0.0, 5e-324, 1.7e308])
+    entries = draw(st.lists(st.floats() | edges, min_size=n * n, max_size=n * n))
+    return labels, np.array(entries).reshape(n, n)
 
 
 def space(matrix, labels=None):
@@ -224,6 +238,13 @@ class TestIO:
         again = SemimetricSpace.from_csv(s.to_csv())
         assert again.labels == s.labels
         assert np.array_equal(again.dist, s.dist)
+
+    @given(labelled_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_json_is_the_whole_document_dumps(self, labelled):
+        labels, dist = labelled
+        assert SemimetricSpace(tuple(labels), dist).to_json() == \
+            json.dumps({"labels": labels, "matrix": dist.tolist()})
 
     def test_json_shape(self):
         obj = json.loads(example31(1).to_json())
