@@ -61,13 +61,12 @@ def polygonal_constant(space: SemimetricSpace) -> tuple[float, list[int]]:
     chain between its endpoints; returns c and the minimizing chain of the
     maximizing pair."""
     d = space.dist
-    n = space.n
-    if n < 2:
+    if space.n < 2:
         return 1.0, [0]
     D, pred = floyd_warshall(d)
-    mask = ~np.eye(n, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(mask, d / D, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the diagonal
+        ratio = d / D
+    np.fill_diagonal(ratio, -np.inf)
     flat = int(np.argmax(ratio))
     i, j = np.unravel_index(flat, ratio.shape)
     return float(ratio[i, j]), reconstruct_chain(pred, int(i), int(j))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import first_violation
+from .certify import sandwich_violation
 from .schema import Report
 from .setcover import exact_min_cover, greedy_cover, greedy_cover_batch
 from .spaces import SemimetricSpace, snowflake
@@ -395,20 +395,33 @@ def weak_doubling_constant(
 def _bound_check(
     base_space: SemimetricSpace, other_space: SemimetricSpace, exponent: int, exact_limit: int
 ) -> BoundCheck:
-    """Doubling constants of both spaces, and whether the other space's upper
-    bound is at most the base lower bound to the given power."""
+    """Doubling constants of both spaces, and whether the other space's
+    constant is at most the base one to the given power.  The bound holds
+    when the other upper bound is at most the base lower bound to that
+    power, and fails only when the other lower bound exceeds the base upper
+    bound to it; brackets that decide neither way are a ValueError."""
     base = doubling_constant(base_space, exact_limit)
     other = doubling_constant(other_space, exact_limit)
     try:
         bound = float(base.lower) ** exponent
     except OverflowError:
         raise ValueError(f"bound {base.lower}^{exponent} is too large for a float") from None
+    holds = other.upper <= bound
+    try:
+        undecided = not holds and other.lower <= float(base.upper) ** exponent
+    except OverflowError:  # the base upper bound's power exceeds every float
+        undecided = True
+    if undecided:
+        raise ValueError(
+            f"doubling brackets decide nothing: transformed [{other.lower}, {other.upper}] "
+            f"against base [{base.lower}, {base.upper}] to the power {exponent}; "
+            "a larger --exact-max solves more covers exactly")
     return BoundCheck(
         base=(base.lower, base.upper),
         transformed=(other.lower, other.upper),
         exponent=exponent,
         bound=bound,
-        holds=other.upper <= bound,
+        holds=holds,
         exact=base.exact and other.exact,
     )
 
@@ -441,10 +454,9 @@ def sandwich_doubling_check(
     if space_d.n != space_D.n:
         raise ValueError("spaces must share the same point set")
     d, D = space_d.dist, space_D.dist
-    low, high = first_violation(D, d), first_violation(d, alpha * D)
-    if low or high:
-        pair = min(p for p in (low, high) if p)
-        what = "D > d" if pair == low else "d > alpha*D"
-        raise SandwichError(pair, f"{what} at pair {pair}")
+    bad = sandwich_violation(D, d, alpha * D)
+    if bad:
+        pair, low = bad
+        raise SandwichError(pair, f"{'D > d' if low else 'd > alpha*D'} at pair {pair}")
     # alpha = m * 2^e with 1/2 <= m < 1, so 2^(e-1) <= alpha < 2^e and N = e + 1
     return _bound_check(space_d, space_D, math.frexp(alpha)[1] + 1, exact_limit)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .certify import CertificateViolation, first_violation, within
+from .certify import CertificateViolation, first_pair, ratio_range, sandwich_violation, within
 from .constants import relaxation_constant
 from .remetrize import epsilon_remetrize
 from .schema import Report
@@ -123,20 +123,17 @@ def _require_metric(space: SemimetricSpace) -> None:
 
 
 def _checked_norms(coords: np.ndarray) -> np.ndarray:
-    """Pairwise norms of the coordinate rows.  The first zero norm between
-    two equal rows is a DegenerateEmbeddingError; a norm past the largest
-    float, or one that underflows to 0 between different rows, is a
-    ValueError, as neither certifies anything about the construction."""
+    """Pairwise norms of the coordinate rows.  A norm past the largest float
+    is a ValueError, as it certifies nothing about the construction; the
+    first zero norm, which only equal rows give, is a
+    DegenerateEmbeddingError."""
     with np.errstate(over="ignore"):
         norms = _pairwise_norms(coords)
     if not np.isfinite(norms).all():
         raise ValueError("a distance between embedded points is too large for a float")
-    zero = np.argwhere((norms == 0.0) & ~np.eye(len(norms), dtype=bool))
-    if len(zero):
-        pair = (int(zero[0, 0]), int(zero[0, 1]))
-        if np.array_equal(coords[pair[0]], coords[pair[1]]):
-            raise DegenerateEmbeddingError(pair)
-        raise ValueError(f"the distance between embedded points {pair} underflows to 0")
+    pair = first_pair(norms == 0.0)
+    if pair:
+        raise DegenerateEmbeddingError(pair)
     return norms
 
 
@@ -163,10 +160,7 @@ def _coloring(d: np.ndarray, net: list[int], radius: float) -> dict[int, int]:
 
 def bilipschitz_ratios(norms: np.ndarray, dist: np.ndarray, alpha: float) -> tuple[float, float]:
     """Min and max of ||F(x)-F(y)|| / d(x,y)^alpha over off-diagonal pairs."""
-    n = dist.shape[0]
-    mask = ~np.eye(n, dtype=bool)
-    ratios = norms[mask] / (dist[mask] ** alpha)
-    return float(ratios.min()), float(ratios.max())
+    return ratio_range(norms, dist ** alpha)
 
 
 def assouad_embed(space: SemimetricSpace, alpha: float) -> Embedding:
@@ -239,10 +233,9 @@ def _certify(emb: Embedding, dist: np.ndarray) -> np.ndarray:
     distinct points; returns the pairwise norms it checked."""
     norms = emb.pairwise_norms()
     powered = dist ** emb.alpha
-    bad = [first_violation(powered / emb.C, norms), first_violation(norms, powered * emb.C)]
-    pair = min((p for p in bad if p), default=None)
-    if pair:
-        raise CertificateViolation(f"bi-Lipschitz certificate failed at pair {pair}")
+    bad = sandwich_violation(powered / emb.C, norms, powered * emb.C)
+    if bad:
+        raise CertificateViolation(f"bi-Lipschitz certificate failed at pair {bad[0]}")
     return norms
 
 

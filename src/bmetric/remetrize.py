@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import CertificateViolation, first_violation, within
+from .certify import CertificateViolation, ratio_range, sandwich_violation, within
 from .constants import relaxation_constant
 from .schema import Report
 from .shortest_path import shortest_path_closure
@@ -48,7 +48,10 @@ class Remetrization:
         return {
             "p": self.p,
             "epsilon": self.epsilon_target,
-            "sandwich_lo": 1.0,  # max D/d^p (see _sandwich_hi)
+            # max D/d^p is 1 for n >= 2: the closure never exceeds d^p, and keeps
+            # the direct edge of the closest pair, since any longer chain sums to
+            # at least twice the smallest distance
+            "sandwich_lo": 1.0,
             "sandwich_hi": self.sandwich_hi,
             "D": self.D.tolist(),
             "method": self.method,
@@ -64,42 +67,24 @@ class FrinkCertificate(Report):
     holds: bool
 
 
-def _sandwich_hi(powered: np.ndarray, D: np.ndarray) -> float:
-    """max d^p/D over off-diagonal pairs.
-
-    The other side, max D/d^p, is 1 for n >= 2: the closure never exceeds
-    d^p, and keeps the direct edge of the closest pair, since any longer
-    chain sums to at least twice the smallest distance."""
-    n = powered.shape[0]
-    if n < 2:
-        return 1.0
-    mask = ~np.eye(n, dtype=bool)
-    return float((powered[mask] / D[mask]).max())
-
-
-def _certify_sandwich(powered: np.ndarray, D: np.ndarray, hi: float) -> None:
-    """Check D <= d^p <= hi * D on every pair of distinct points; raise
-    CertificateViolation naming the first pair where either side fails."""
-    low, high = first_violation(D, powered), first_violation(powered, hi * D)
-    if low or high:
-        pair = min(p for p in (low, high) if p)
-        claim = "D > d^p" if pair == low else f"d^p > {hi} * D"
+def _certified(p, epsilon, powered, D, hi, trace) -> Remetrization:
+    """The Remetrization, once D <= d^p <= hi * D holds on every pair of
+    distinct points; raise CertificateViolation naming the first pair where
+    either side fails."""
+    bad = sandwich_violation(D, powered, hi * D)
+    if bad:
+        pair, low = bad
+        claim = "D > d^p" if low else f"d^p > {hi} * D"
         raise CertificateViolation(f"remetrization sandwich violated: {claim} at pair {pair}")
+    return Remetrization(p, epsilon, D, hi, tuple(trace))
 
 
 def chain_metric(space: SemimetricSpace) -> Remetrization:
     """Shortest-path closure of d: always a metric, always below d, and
     above d / c where c is the polygonal constant."""
     D = shortest_path_closure(space.dist)
-    hi = _sandwich_hi(space.dist, D)
-    _certify_sandwich(space.dist, D, hi)
-    return Remetrization(
-        p=1.0,
-        epsilon_target=None,
-        D=D,
-        sandwich_hi=hi,
-        search_trace=((1.0, hi),),
-    )
+    hi = ratio_range(space.dist, D)[1]
+    return _certified(1.0, None, space.dist, D, hi, [(1.0, hi)])
 
 
 def frink_verify(space: SemimetricSpace) -> FrinkCertificate:
@@ -138,7 +123,7 @@ def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
         """(d^p, D, hi) when hi meets the target; None drops a rejected p's arrays."""
         powered = space.dist ** p
         D = shortest_path_closure(powered)
-        hi = _sandwich_hi(powered, D)
+        hi = ratio_range(powered, D)[1]
         trace.append((p, hi))
         return (powered, D, hi) if hi <= target else None
 
@@ -158,6 +143,4 @@ def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
             best_p, best = mid, res
         else:
             p_bad = mid
-    powered, D, hi = best
-    _certify_sandwich(powered, D, hi)
-    return Remetrization(best_p, epsilon, D, hi, tuple(trace))
+    return _certified(best_p, epsilon, *best, trace)

@@ -171,7 +171,7 @@ def validate(space: SemimetricSpace) -> ValidationReport:
     if bad_diag.size:
         s1_wit = (int(bad_diag[0]),) * 2
     else:
-        s1_wit = first_pair(~np.eye(space.n, dtype=bool) & ~((d > 0) & np.isfinite(d)))
+        s1_wit = first_pair(~((d > 0) & np.isfinite(d)))
     with np.errstate(invalid="ignore"):  # inf - inf; such a space already fails S1
         s2_wit = first_pair(np.triu(np.abs(d - d.T) > 0, 1))
     return ValidationReport(s1_wit is None, s2_wit is None, s1_wit, s2_wit)
@@ -190,10 +190,23 @@ def snowflake(space: SemimetricSpace, p: float) -> SemimetricSpace:
 
 
 def _pairwise_norms(coords: np.ndarray) -> np.ndarray:
-    """n×n Euclidean distances between rows, one row at a time: O(n·N) scratch."""
+    """n×n Euclidean distances between rows, one row at a time: O(n·N) scratch.
+
+    A sum of squares can overflow, or lose its bits to underflow.  So a norm
+    that is inf or below 2^-500 is summed again from its difference scaled
+    by a power of two to a largest entry in [1/2, 1), then scaled back: the
+    other norms keep their bits, and a nonzero difference gets a nonzero
+    norm."""
     norms = np.empty((coords.shape[0], coords.shape[0]))
     for i, row in enumerate(coords):
-        norms[i] = np.linalg.norm(row - coords, axis=-1)
+        diff = row - coords
+        norms[i] = np.linalg.norm(diff, axis=-1)
+        redo = ~((norms[i] >= 2.0 ** -500) & (norms[i] < np.inf))
+        redo[i] = False
+        if redo.any():
+            exp = np.frexp(np.abs(diff[redo]).max(axis=-1))[1]
+            scaled = np.ldexp(diff[redo], -exp[:, None])
+            norms[i, redo] = np.ldexp(np.linalg.norm(scaled, axis=-1), exp)
     return norms
 
 

@@ -395,6 +395,32 @@ def loop_validate(dist, tolerance=0.0):
     return s1, s2
 
 
+def _pairs(n):
+    """The pairs of distinct indices below n, in row-major order."""
+    return ((i, j) for i in range(n) for j in range(n) if i != j)
+
+
+def loop_first_pair(mask):
+    """The first True entry off the diagonal, in row-major order, or None."""
+    return next((pair for pair in _pairs(len(mask)) if mask[pair]), None)
+
+
+def loop_sandwich_violation(lo, mid, hi, rtol):
+    """The first off-diagonal pair where lo <= mid <= hi fails with relative
+    slack rtol (NaN fails), and whether its low side failed; or None."""
+    for pair in _pairs(len(mid)):
+        low = not lo[pair] <= mid[pair] * (1.0 + rtol)
+        if low or not mid[pair] <= hi[pair] * (1.0 + rtol):
+            return pair, low
+    return None
+
+
+def loop_ratio_range(a, b):
+    """Min and max of a / b over off-diagonal pairs; (1.0, 1.0) without one."""
+    ratios = [a[pair] / b[pair] for pair in _pairs(len(a))]
+    return (min(ratios), max(ratios)) if ratios else (1.0, 1.0)
+
+
 def loop_example31(n):
     """(labels, matrix) of the hub semimetric on {-n, ..., n} by a pair loop:
     the library's generator before it built the matrix from arrays."""

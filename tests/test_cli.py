@@ -315,21 +315,25 @@ class TestVerifyTable:
 
 
 class TestFloatRangeEdges:
-    """Where the embedding's norms overflow or underflow, or doubling's
-    critical radii would overflow, the CLI exits 1 with an error line: none
-    of these is a certified violation."""
+    """Where the embedding's scale radii or doubling's critical radii would
+    overflow, the CLI exits 1 with an error line: neither is a certified
+    violation.  Norms whose sums of squares leave the float range are still
+    certified."""
 
     @pytest.mark.parametrize("argv", EMBED_COMMANDS, ids=" ".join)
-    @pytest.mark.parametrize("name", ["eq-1e206", "eq-1e300", "eq-1.7e308",
-                                      "eq-1e-250", "eq-1e-300", "tiny-pair"])
-    def test_embedding_out_of_range_is_an_error(self, edges, capsys, argv, name):
-        assert cli.main([argv[0], str(edges / f"{name}.json"), *argv[1:], "--quiet"]) == 1
+    def test_embedding_out_of_range_is_an_error(self, edges, capsys, argv):
+        assert cli.main([argv[0], str(edges / "eq-1.7e308.json"), *argv[1:], "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("argv", EMBED_COMMANDS, ids=" ".join)
-    @pytest.mark.parametrize("name", ["eq-1e-200", "eq-1e200"])
-    def test_embedding_in_range_is_certified(self, edges, argv, name):
-        assert cli.main([argv[0], str(edges / f"{name}.json"), *argv[1:], "--quiet"]) == 0
+    @pytest.mark.parametrize("name", ["eq-1e-300", "eq-1e-250", "eq-1e-200", "eq-1e200",
+                                      "eq-1e206", "eq-1e300", "tiny-pair"])
+    def test_embedding_in_range_is_certified(self, edges, capsys, argv, name):
+        assert cli.main([argv[0], str(edges / f"{name}.json"), *argv[1:]]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report.get("holds", True) is True  # the verify claims
+        C = report["C_emp"] if "C_emp" in report else report.get("embedding", report)["C"]
+        assert 1.0 <= C < float("inf")
 
     @pytest.mark.parametrize("argv", [("doubling",), ("doubling", "--weak"),
                                       ("verify", "--theorem", "3.3"),
@@ -433,6 +437,22 @@ class TestViolationContract:
         self._raise(monkeypatch, "epsilon_remetrize", exc)
         assert cli.main(["remetrize", str(workdir / "rb.json"), "--eps", "0.5"]) == 1
         assert capsys.readouterr() == ("", line)
+
+    def test_undecided_doubling_brackets_exit_one(self, tmp_path, capsys):
+        # both constants are exactly 10, but at the default limit each is
+        # the bracket [10, 11], which neither proves nor refutes C(d^1) <= C(d)
+        path = str(tmp_path / "rb40.json")
+        assert cli.main(["generate", "--family", "random-bmetric", "--n", "40", "--K", "2",
+                         "--seed", "3", "--space-out", path, "--quiet"]) == 0
+        argv = ["verify", path, "--theorem", "3.3", "--p", "1"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: doubling brackets decide nothing: transformed [10, 11] against base "
+            "[10, 11] to the power 1; a larger --exact-max solves more covers exactly\n")
+        assert cli.main([*argv, "--exact-max", "40"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["holds"] is True and report["base"] == report["transformed"] == [10, 10]
 
 
 class TestMatrixOut:

@@ -20,6 +20,7 @@ from bmetric import (
 from bmetric import doubling as doubling_mod
 from bmetric import setcover as setcover_mod
 from bmetric.doubling import (
+    Bracket,
     CoverResult,
     DoublingReport,
     SandwichError,
@@ -550,6 +551,42 @@ class TestSnowflakeDoublingCheck:
     def test_overflowing_bound_is_a_value_error(self, uniform6, p, message):
         with pytest.raises(ValueError, match=message):
             snowflake_doubling_check(uniform6, p)
+
+
+class TestBoundOutcomes:
+    """A check holds when the transformed upper bound is at most the base
+    lower bound to the power, is violated only when the transformed lower
+    bound exceeds the base upper bound to it, and is a ValueError when the
+    brackets decide neither."""
+
+    def test_undecided_brackets_are_a_value_error(self):
+        space = random_bmetric(40, 2.0, seed=3)
+        with pytest.raises(ValueError, match=r"transformed \[10, 11\] against base \[10, 11\] "
+                                             r"to the power 1; a larger --exact-max"):
+            snowflake_doubling_check(space, 1.0)
+        check = snowflake_doubling_check(space, 1.0, exact_limit=40)
+        assert check.exact and check.holds and check.base == check.transformed == (10, 10)
+
+    @staticmethod
+    def _check(monkeypatch, base, transformed, exponent):
+        brackets = iter([Bracket(*base, False), Bracket(*transformed, False)])
+        monkeypatch.setattr(doubling_mod, "doubling_constant", lambda space, limit: next(brackets))
+        one = SemimetricSpace(("a",), np.zeros((1, 1)))
+        return doubling_mod._bound_check(one, one, exponent, 15)
+
+    @pytest.mark.parametrize("base,transformed,exponent,holds", [
+        ((3, 4), (2, 9), 2, True),  # 9 <= 3^2
+        ((3, 4), (17, 20), 2, False),  # 17 > 4^2
+        ((3, 4), (16, 20), 2, None),  # 20 > 3^2, but 16 <= 4^2
+        ((1, 2), (5, 5), 2000, None),  # 2^2000 overflows: no violation
+    ])
+    def test_outcome(self, monkeypatch, base, transformed, exponent, holds):
+        if holds is None:
+            with pytest.raises(ValueError, match="decide nothing"):
+                self._check(monkeypatch, base, transformed, exponent)
+        else:
+            check = self._check(monkeypatch, base, transformed, exponent)
+            assert check.holds is holds and check.bound == float(base[0]) ** exponent
 
 
 class TestSandwichDoublingCheck:

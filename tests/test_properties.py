@@ -1,5 +1,7 @@
 """Property-based checks of the library's structural invariants."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from bmetric import (
     SemimetricSpace,
+    assouad_embed,
+    bmetric_assouad_pipeline,
     chain_metric,
     constants_report,
     doubling_constant,
@@ -21,6 +25,7 @@ from bmetric import (
 )
 from bmetric.certify import within
 from bmetric.doubling import cover_requirement
+from bmetric.embed import DegenerateEmbeddingError
 from bmetric.setcover import exact_min_cover, greedy_cover
 from bmetric.shortest_path import shortest_path_closure
 from oracles import (
@@ -267,3 +272,20 @@ def test_constants_and_doubling_reports_are_scale_equivariant(space, k):
 @settings(max_examples=40, deadline=None)
 def test_remetrize_exponent_is_scale_free(space, k):
     assert epsilon_remetrize(space.rescale(2.0 ** k), 0.5).p == epsilon_remetrize(space, 0.5).p
+
+
+@given(semimetric_spaces(max_n=8, values=DYADIC_RANGE),
+       st.sampled_from([-1000, -900, -500, 500, 900, 1000]))
+@settings(max_examples=40, deadline=None)
+def test_embedding_and_pipeline_are_certified_at_every_scale(space, k):
+    # N and C' are not scale-free: the scale radii are powers of 1/3.  Tied
+    # distances can make two points collide at any scale, unscaled too (as
+    # [[0, 2, 2], [2, 0, 3], [2, 3, 0]] does); that falsifies no bound, so
+    # only the float range is on trial here.
+    scaled = space.rescale(2.0 ** k)
+    with contextlib.suppress(DegenerateEmbeddingError):
+        result = bmetric_assouad_pipeline(scaled, 0.75)
+        assert within(result.C_prime, result.stage_bound) and result.embedding.dimension >= 1
+    with contextlib.suppress(DegenerateEmbeddingError):
+        metric = scaled.with_dist(shortest_path_closure(scaled.dist))
+        assert assouad_embed(metric, 0.75).dimension >= 1

@@ -172,14 +172,14 @@ class TestSandwichCertificate:
             epsilon_remetrize(triple_114, eps)
 
     def test_upper_side_names_its_pair(self, triple_114, monkeypatch):
-        monkeypatch.setattr(bmetric.remetrize, "_sandwich_hi", lambda powered, D: 1.0)
+        monkeypatch.setattr(bmetric.remetrize, "ratio_range", lambda powered, D: (1.0, 1.0))
         with pytest.raises(CertificateViolation, match=r"d\^p > 1.0 \* D at pair \(0, 2\)"):
             chain_metric(triple_114)
 
     def test_only_the_returned_exponent_is_certified(self, triple_114, monkeypatch):
         calls = []
-        check = bmetric.remetrize.first_violation
-        monkeypatch.setattr(bmetric.remetrize, "first_violation",
-                            lambda a, b: calls.append(1) or check(a, b))
+        check = bmetric.remetrize.sandwich_violation
+        monkeypatch.setattr(bmetric.remetrize, "sandwich_violation",
+                            lambda lo, mid, hi: calls.append(1) or check(lo, mid, hi))
         rem = epsilon_remetrize(triple_114, 0.1)
-        assert len(rem.search_trace) > 2 and len(calls) == 2
+        assert len(rem.search_trace) > 2 and len(calls) == 1
