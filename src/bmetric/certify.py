@@ -31,12 +31,6 @@ def first_pair(mask: np.ndarray) -> tuple[int, int] | None:
     return divmod(flat, mask.shape[1]) if mask.flat[flat] else None
 
 
-def first_violation(a: np.ndarray, b: np.ndarray) -> tuple[int, int] | None:
-    """The first off-diagonal pair (i, j), in row-major order, where a <= b
-    fails under :func:`within`, or None when it holds on every pair."""
-    return first_pair(~within(a, b))
-
-
 def sandwich_violation(lo, mid, hi) -> tuple[tuple[int, int], bool] | None:
     """The first off-diagonal pair where lo <= mid <= hi fails under :func:`within`,
     and whether its low side failed there (named first when both do), or None."""
@@ -47,8 +41,11 @@ def sandwich_violation(lo, mid, hi) -> tuple[tuple[int, int], bool] | None:
 
 def ratio_range(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Min and max of a / b over off-diagonal pairs; (1.0, 1.0) below two points."""
-    if len(a) < 2:
+    n = len(a)
+    if n < 2:
         return 1.0, 1.0
-    mask = ~np.eye(len(a), dtype=bool)
-    ratios = a[mask] / b[mask]
+    # The flat entries after the first, in rows of n + 1, each end with the next
+    # diagonal entry: without that column they are the off-diagonal ones, as views.
+    a, b = (m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1] for m in (a, b))
+    ratios = a / b
     return float(ratios.min()), float(ratios.max())

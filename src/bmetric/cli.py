@@ -57,7 +57,7 @@ def _read_space(path: str) -> SemimetricSpace:
 
 
 def _manifest(args, command: str, parameters: dict) -> dict:
-    return {
+    manifest = {
         "command": command,
         "input": getattr(args, "in_path", None),
         "parameters": parameters,
@@ -65,6 +65,9 @@ def _manifest(args, command: str, parameters: dict) -> dict:
         "version": __version__,
         "out": getattr(args, "out", None),
     }
+    if command == "generate":
+        manifest["space_out"] = args.space_out
+    return manifest
 
 
 def _dump(payload: dict, f) -> None:
@@ -84,9 +87,13 @@ def _emit(args, payload: dict) -> None:
 
 
 def _write_space(space: SemimetricSpace, path: str) -> None:
+    """Write space to path in the format that _read_space reads back from it."""
     with open(path, "w") as f:
-        f.write(space.to_json())
-        f.write("\n")
+        if path.endswith(".csv"):
+            f.write(space.to_csv())
+        else:
+            f.write(space.to_json())
+            f.write("\n")
 
 
 def _read_flags(args, option: str, names, reads) -> dict:
@@ -103,7 +110,10 @@ def _read_flags(args, option: str, names, reads) -> dict:
 GENERATE_FLAGS = ("n", "m", "K", "k", "p", "dim", "seed")
 
 
-def cmd_generate(args) -> int:
+# Each cmd_* function returns (parameters, report): the parameters its
+# manifest records and its report.  main writes both, and exits 2 when the
+# report says a claim does not hold.
+def cmd_generate(args) -> tuple[dict, dict]:
     make = FAMILIES[args.family]
     reads = inspect.signature(make).parameters
     params = _read_flags(args, "family", GENERATE_FLAGS, reads)
@@ -111,24 +121,16 @@ def cmd_generate(args) -> int:
         if param.default is param.empty and name not in params:
             raise ValueError(f"family {args.family!r} is missing parameter {name!r}")
     space = make(**params)
-    out = args.space_out
-    if args.format == "csv":
-        Path(out).write_text(space.to_csv())
-    else:
-        _write_space(space, out)
-    _emit(args, {"manifest": _manifest(args, "generate", params) | {"space_out": out},
-                 "report": {"points": space.n, "family": args.family}})
-    return EXIT_OK
+    _write_space(space, args.space_out)
+    return params, {"points": space.n, "family": args.family}
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args) -> tuple[dict, dict]:
     space = _read_space(args.in_path)
-    rep = constants_report(space)
-    _emit(args, {"manifest": _manifest(args, "constants", {}), "report": rep.to_dict()})
-    return EXIT_OK
+    return {}, constants_report(space).to_dict()
 
 
-def cmd_remetrize(args) -> int:
+def cmd_remetrize(args) -> tuple[dict, dict]:
     space = _read_space(args.in_path)
     if args.eps is None:
         rem = chain_metric(space)
@@ -136,38 +138,30 @@ def cmd_remetrize(args) -> int:
         rem = epsilon_remetrize(space, args.eps)
     if args.matrix_out:
         _write_space(space.with_dist(rem.D), args.matrix_out)
-    _emit(args, {"manifest": _manifest(args, "remetrize", {"eps": args.eps}),
-                 "report": rem.to_dict()})
-    return EXIT_OK
+    return {"eps": args.eps}, rem.to_dict()
 
 
-def cmd_doubling(args) -> int:
+def cmd_doubling(args) -> tuple[dict, dict]:
     space = _read_space(args.in_path)
     report: dict = {"doubling": doubling_constant(space, args.exact_max).to_dict()}
     if args.weak:
         report["weak"] = weak_doubling_constant(space, args.exact_max).to_dict()
-    _emit(args, {"manifest": _manifest(args, "doubling",
-                                       {"exact_max": args.exact_max, "weak": args.weak}),
-                 "report": report})
-    return EXIT_OK
+    return {"exact_max": args.exact_max, "weak": args.weak}, report
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> tuple[dict, dict]:
     space = _read_space(args.in_path)
     emb = assouad_embed(space, args.alpha)
     if args.coords_out:
         Path(args.coords_out).write_text(emb.coords_csv())
     report = emb.to_dict()
-    _emit(args, {"manifest": _manifest(args, "embed", report["config"]), "report": report})
-    return EXIT_OK
+    return report["config"], report
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args) -> tuple[dict, dict]:
     space = _read_space(args.in_path)
     result = bmetric_assouad_pipeline(space, args.alpha)
-    _emit(args, {"manifest": _manifest(args, "pipeline", {"alpha": args.alpha}),
-                 "report": result.to_dict()})
-    return EXIT_OK
+    return {"alpha": args.alpha}, result.to_dict()
 
 
 def _epsilon(space, *, eps=1.0):
@@ -205,7 +199,7 @@ THEOREMS = {
 VERIFY_FLAGS = ("eps", "p", "alpha", "exact_max")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, dict]:
     check = THEOREMS[args.theorem]
     flags = _read_flags(args, "theorem", VERIFY_FLAGS, check.__kwdefaults__ or {})
     space = _read_space(args.in_path)
@@ -213,9 +207,7 @@ def cmd_verify(args) -> int:
         report = check(space, **flags)
     except CertificateViolation as exc:
         report = {"holds": False, "detail": str(exc)}
-    _emit(args, {"manifest": _manifest(args, "verify", {"theorem": args.theorem}),
-                 "report": {"theorem": args.theorem, **report}})
-    return EXIT_OK if report["holds"] else EXIT_VIOLATION
+    return {"theorem": args.theorem}, {"theorem": args.theorem, **report}
 
 
 @functools.cache
@@ -238,9 +230,9 @@ def build_parser() -> _Parser:
     g.add_argument("--k", type=int)
     g.add_argument("--p", type=float)
     g.add_argument("--dim", type=int)
-    g.add_argument("--space-out", required=True, help="path for the generated space file")
+    g.add_argument("--space-out", required=True,
+                   help="path for the generated space file: CSV if it ends in .csv, else JSON")
     g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--format", choices=("json", "csv"), default="json")
     common(g)
     g.set_defaults(func=cmd_generate)
 
@@ -253,7 +245,9 @@ def build_parser() -> _Parser:
     r.add_argument("in_path")
     r.add_argument("--eps", type=float, default=None,
                    help="search for p with a (1+eps) sandwich; omit for the plain chain metric")
-    r.add_argument("--matrix-out", default=None, help="write the metric matrix as a space file")
+    r.add_argument("--matrix-out", default=None,
+                   help="write the metric matrix as a space file: CSV if the path ends in .csv, "
+                        "else JSON")
     common(r)
     r.set_defaults(func=cmd_remetrize)
 
@@ -306,7 +300,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
-        return args.func(args)
+        parameters, report = args.func(args)
+        _emit(args, {"manifest": _manifest(args, args.command, parameters), "report": report})
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -317,6 +312,7 @@ def main(argv=None) -> int:
     except CertificateViolation as exc:
         print(f"falsification finding: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    return EXIT_OK if report.get("holds", True) else EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from bmetric import SemimetricSpace, converse_bound
 from bmetric.certify import (
     RTOL,
     first_pair,
-    first_violation,
     ratio_range,
     sandwich_violation,
     within,
@@ -34,16 +33,6 @@ def test_within_allows_only_the_relative_slack():
     assert not within(1.0 + 2 * RTOL, 1.0)
     assert not within(np.nan, 1.0)
     assert within(np.array([1.0, 2.0]), np.array([1.0, 2.0])).all()
-
-
-def test_first_violation_is_row_major_and_skips_diagonal():
-    b = np.ones((3, 3))
-    a = np.eye(3) * 5.0  # diagonal violations are ignored
-    assert first_violation(a, b) is None
-    a[2, 0] = a[1, 2] = 1.5
-    assert first_violation(a, b) == (1, 2)
-    a[1, 2] = np.nan
-    assert first_violation(a, b) == (1, 2)
 
 
 @given(matrices(1, st.booleans()))

@@ -115,10 +115,18 @@ class TestGenerate:
     def test_csv_format(self, workdir):
         out = workdir / "grid.csv"
         r = run_cli("generate", "--family", "snowflaked-grid", "--k", "4", "--p", "0.5",
-                    "--space-out", str(out), "--format", "csv", "--quiet")
+                    "--space-out", str(out), "--quiet")
         assert r.returncode == 0
         # grid labels contain commas, so the CSV writer quotes them
         assert out.read_text().splitlines()[0].startswith('"0,0","0,1"')
+
+    def test_format_flag_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        argv = ["generate", "--family", "example31", "--n", "3", "--format", "csv",
+                "--space-out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage:")
+        assert not out.exists()
 
     def test_validated_on_write(self, workdir):
         r = run_cli("generate", "--family", "random-bmetric", "--n", "3", "--K", "0.2",
@@ -131,7 +139,7 @@ class TestGenerate:
         actions = {a.dest: a for a in generate._actions}
         assert actions["family"].choices == tuple(FAMILIES)
         params = {name for make in FAMILIES.values() for name in inspect.signature(make).parameters}
-        flags = set(actions) - {"help", "family", "space_out", "format", "out", "quiet"}
+        flags = set(actions) - {"help", "family", "space_out", "out", "quiet"}
         assert flags == params == set(cli.GENERATE_FLAGS)
 
     @pytest.mark.parametrize("family,needed,flag,value", UNREAD_GENERATE_FLAGS)
@@ -150,6 +158,11 @@ class TestGenerate:
         assert capsys.readouterr().err == (
             "error: family 'doubling-not-weak' is missing parameter 'm'\n")
         assert not out.exists()
+
+
+def test_unknown_schema_is_a_key_error():
+    with pytest.raises(KeyError, match="unknown schema 'nope'"):
+        load_schema("nope")
 
 
 class TestReports:
@@ -453,6 +466,25 @@ class TestViolationContract:
         assert cli.main([*argv, "--exact-max", "40"]) == 0
         report = json.loads(capsys.readouterr().out)["report"]
         assert report["holds"] is True and report["base"] == report["transformed"] == [10, 10]
+
+
+class TestSpaceFilesAreReadBack:
+    """A space file's format is its extension, for writing and reading alike."""
+
+    def test_generated_and_remetrized_files(self, tmp_path, capsys):
+        for ext in ("json", "csv"):
+            assert cli.main(["generate", "--family", "random-bmetric", "--n", "12", "--K", "2",
+                             "--seed", "1", "--space-out", str(tmp_path / f"s.{ext}"),
+                             "--quiet"]) == 0
+            assert cli.main(["remetrize", str(tmp_path / "s.json"), "--eps", "0.5",
+                             "--matrix-out", str(tmp_path / f"m.{ext}"), "--quiet"]) == 0
+        reports = {}
+        for name in ("s.json", "s.csv", "m.json", "m.csv"):
+            assert cli.main(["constants", str(tmp_path / name)]) == 0, name
+            reports[name] = json.loads(capsys.readouterr().out)["report"]
+        # %.17g round-trips every float, so CSV and JSON give the same space
+        assert reports["s.csv"] == reports["s.json"]
+        assert reports["m.csv"] == reports["m.json"]
 
 
 class TestMatrixOut:
