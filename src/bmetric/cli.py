@@ -92,7 +92,7 @@ def _write_space(space: SemimetricSpace, path: str) -> None:
         if path.endswith(".csv"):
             f.write(space.to_csv())
         else:
-            f.write(space.to_json())
+            f.writelines(space._json_chunks())
             f.write("\n")
 
 

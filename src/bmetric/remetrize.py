@@ -20,6 +20,8 @@ from .shortest_path import shortest_path_closure
 from .spaces import SemimetricSpace
 
 P_RESOLUTION = 1e-3
+# the step bisection from a power-of-two bracket ends on
+_GRID = 2.0 ** math.floor(math.log2(P_RESOLUTION))
 
 
 class FrinkPreconditionError(ValueError):
@@ -105,12 +107,25 @@ def frink_verify(space: SemimetricSpace) -> FrinkCertificate:
 def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
     """Find p in (0, 1] whose chain metric sandwiches d^p within 1 + epsilon.
 
-    Strategy: halve p from 1 until the certificate holds, then bisect toward
-    the largest certified p, stopping once it is within P_RESOLUTION of the
-    smallest rejected p.  Termination is guaranteed on finite spaces: as
-    p -> 0 all powered distances tend to 1 while every proper chain sums to
-    at least twice the minimum, so the direct edge eventually wins every
-    comparison.
+    Strategy: halve p from 1 until the certificate holds.  The bracket
+    [accepted p, rejected p] then spans a power of two, and bisecting it to
+    within P_RESOLUTION would probe only multiples of _GRID, the largest
+    power of two at most P_RESOLUTION.  The search probes that grid too, by
+    Illinois regula falsi on log hi(p) - log(1 + epsilon), rounded to a grid
+    point strictly inside the bracket.  Each probe is clamped so that
+    bisection could still finish in the probes left, and bisection's count
+    plus 3 are allowed: so no search makes more than 3 closures beyond
+    bisection's.  It stops when the bracket is one grid step wide, and
+    returns its accepted end.  search_trace lists the probes made, in order.
+
+    The result is bisection's, bit for bit: hi(p) never decreases as p grows
+    (a chain whose edges are all shorter than d_ij has ratio
+    1 / sum (d_e / d_ij)^p, which rises with p; a chain with a longer edge
+    stays below the direct edge's ratio of 1), so the accepted grid points
+    are a prefix, and both searches return its last point.  Termination is
+    guaranteed on finite spaces: as p -> 0 all powered distances tend to 1
+    while every proper chain sums to at least twice the minimum, so the
+    direct edge eventually wins every comparison.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -136,11 +151,34 @@ def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
         best_p /= 2.0
         if best_p < 1e-12:
             raise RuntimeError("snowflake exponent search failed to certify")
-    while p_bad - best_p > P_RESOLUTION:
-        mid = (best_p + p_bad) / 2.0
-        res = evaluate(mid)
+    if p_bad - best_p <= P_RESOLUTION:
+        return _certified(best_p, epsilon, *best, trace)
+
+    def excess(hi: float) -> float:
+        return math.log(hi) - math.log(target)
+
+    # grid units: a is accepted, b rejected, and b - a is a power of two;
+    # the halving's last two probes were b and then a
+    a, b = round(best_p / _GRID), round(p_bad / _GRID)
+    fa, fb = excess(best[2]), excess(trace[-2][1])
+    budget = (b - a).bit_length() + 2  # bisection's log2(b - a) probes, plus 3
+    moved = 0  # +1 when the last probe moved a, -1 when it moved b
+    while b - a > 1:
+        budget -= 1
+        # fa < fb fails only on a NaN hi, or where log rounds both ends alike
+        x = a + (b - a) * fa / (fa - fb) if fa < fb else (a + b) / 2
+        # whichever way the probe goes, b - a <= 2^budget after it
+        m = min(max(math.floor(x + 0.5), a + 1, b - (1 << budget)), b - 1, a + (1 << budget))
+        res = evaluate(m * _GRID)
+        f = excess(trace[-1][1])
         if res:
-            best_p, best = mid, res
+            a, fa, best = m, f, res
+            if moved > 0:  # Illinois: an end kept twice has its value halved
+                fb /= 2.0
+            moved = 1
         else:
-            p_bad = mid
-    return _certified(best_p, epsilon, *best, trace)
+            b, fb = m, f
+            if moved < 0:
+                fa /= 2.0
+            moved = -1
+    return _certified(a * _GRID, epsilon, *best, trace)

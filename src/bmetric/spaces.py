@@ -12,6 +12,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -79,10 +80,17 @@ class SemimetricSpace:
     # ---- file formats ----------------------------------------------------
 
     def to_json(self) -> str:
-        """`json.dumps({"labels": ..., "matrix": ...})`, one row at a time:
-        the n² entries never exist as Python floats all at once."""
-        rows = ", ".join(json.dumps(row.tolist()) for row in self.dist)
-        return f'{{"labels": {json.dumps(self.labels)}, "matrix": [{rows}]}}'
+        """`json.dumps({"labels": ..., "matrix": ...})`."""
+        return "".join(self._json_chunks())
+
+    def _json_chunks(self) -> Iterator[str]:
+        """The text of to_json() one encoded row at a time: the n² entries
+        never exist as Python floats all at once, and a writer that takes
+        the chunks as they come never holds the whole text."""
+        yield f'{{"labels": {json.dumps(self.labels)}, "matrix": ['
+        for i, row in enumerate(self.dist):
+            yield (", " if i else "") + json.dumps(row.tolist())
+        yield "]}"
 
     @classmethod
     def from_json(cls, text: str) -> "SemimetricSpace":

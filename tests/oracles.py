@@ -13,16 +13,21 @@ the same.  ``loop_example31`` and ``loop_doubling_not_weak`` are the
 library's earlier pair-loop generators, kept to check that the array ones
 build the same matrices.  ``broadcast_closure`` and
 ``slab_max_triple_ratio`` are the library's earlier closure and triple-scan
-kernels.
+kernels, and ``bisection_remetrize`` is the library's earlier snowflake
+exponent search.
 """
 
+import math
 from bisect import bisect_right
 from itertools import combinations, permutations
 
 import numpy as np
 
 from bmetric import DoublingReport, WeakDoublingReport
+from bmetric.certify import ratio_range
 from bmetric.doubling import _half_diameter_cover, cover_requirement
+from bmetric.remetrize import P_RESOLUTION, _certified
+from bmetric.shortest_path import shortest_path_closure
 
 
 def loop_max_triple_ratio(dist):
@@ -460,3 +465,42 @@ def loop_doubling_not_weak(n, m):
         for b in range(m):
             d[ai, b] = d[b, ai] = 1.0 / i
     return tuple(star_labels + nat_labels), d
+
+
+def bisection_remetrize(space, epsilon):
+    """The earlier ``epsilon_remetrize``: halve p from 1 until the certificate
+    holds, then bisect toward the largest certified p, stopping once it is
+    within P_RESOLUTION of the smallest rejected p.  Its search_trace lists
+    every probe, one closure each."""
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    target = 1.0 + epsilon
+    trace: list[tuple[float, float]] = []
+
+    def evaluate(p: float) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """(d^p, D, hi) when hi meets the target; None drops a rejected p's arrays."""
+        powered = space.dist ** p
+        D = shortest_path_closure(powered)
+        hi = ratio_range(powered, D)[1]
+        trace.append((p, hi))
+        return (powered, D, hi) if hi <= target else None
+
+    p_bad = best_p = 1.0
+    while True:
+        best = evaluate(best_p)
+        if best:
+            break
+        p_bad = best_p
+        best_p /= 2.0
+        if best_p < 1e-12:
+            raise RuntimeError("snowflake exponent search failed to certify")
+    while p_bad - best_p > P_RESOLUTION:
+        mid = (best_p + p_bad) / 2.0
+        res = evaluate(mid)
+        if res:
+            best_p, best = mid, res
+        else:
+            p_bad = mid
+    return _certified(best_p, epsilon, *best, trace)

@@ -486,6 +486,19 @@ class TestSpaceFilesAreReadBack:
         assert reports["s.csv"] == reports["s.json"]
         assert reports["m.csv"] == reports["m.json"]
 
+    @pytest.mark.parametrize("family,sizes", [
+        ("example31", [(1,), (4,)]),
+        ("doubling-not-weak", [(1, 2), (3, 4)]),
+        ("random-bmetric", [(1, 2.0), (7, 2.0)]),
+        ("snowflaked-grid", [(1,), (3, 0.5)]),
+        ("euclidean-points", [(1,), (7, 3)]),
+    ])
+    def test_json_file_is_to_json(self, tmp_path, family, sizes):
+        # written as it is encoded, row by row, yet the bytes of to_json()
+        for space in (FAMILIES[family](*args) for args in sizes):
+            cli._write_space(space, str(tmp_path / "s.json"))
+            assert (tmp_path / "s.json").read_bytes() == (space.to_json() + "\n").encode()
+
 
 class TestMatrixOut:
     def test_remetrize_writes_metric_matrix(self, workdir):

@@ -56,6 +56,7 @@ from bmetric.shortest_path import (
     shortest_path_closure,
 )
 from oracles import (
+    bisection_remetrize,
     broadcast_closure,
     broadcast_pairwise_norms,
     brute_min_cover,
@@ -130,7 +131,10 @@ class TestClosure:
         # remetrize job and 1.0 the pipeline's
         seed = int(np.random.SeedSequence([0, 0]).generate_state(1)[0])
         s = random_bmetric(300, 2.0, seed)
-        for p, _hi in epsilon_remetrize(s, eps).search_trace:
+        # the exponents both searches probe: bisection's 11 and the grid search's 5
+        probes = {p for rem in (epsilon_remetrize(s, eps), bisection_remetrize(s, eps))
+                  for p, _hi in rem.search_trace}
+        for p in sorted(probes):
             d = s.dist ** p
             expected = broadcast_closure(d).tobytes()
             assert shortest_path_closure(d).tobytes() == expected, p

@@ -14,21 +14,26 @@ from bmetric import (
     chain_metric,
     constants_report,
     doubling_constant,
+    doubling_not_weak,
     epsilon_remetrize,
     euclidean_points,
+    example31,
     polygonal_constant,
     random_bmetric,
     relaxation_constant,
     snowflake,
+    snowflaked_grid,
     validate,
     weak_doubling_constant,
 )
 from bmetric.certify import within
 from bmetric.doubling import cover_requirement
 from bmetric.embed import DegenerateEmbeddingError
+from bmetric.remetrize import P_RESOLUTION
 from bmetric.setcover import exact_min_cover, greedy_cover
 from bmetric.shortest_path import shortest_path_closure
 from oracles import (
+    bisection_remetrize,
     cell_doubling_constant,
     loop_critical_radii,
     loop_exact_min_cover,
@@ -272,6 +277,34 @@ def test_constants_and_doubling_reports_are_scale_equivariant(space, k):
 @settings(max_examples=40, deadline=None)
 def test_remetrize_exponent_is_scale_free(space, k):
     assert epsilon_remetrize(space.rescale(2.0 ** k), 0.5).p == epsilon_remetrize(space, 0.5).p
+
+
+# every generator family at 2 to 12 points; Euclidean distances are powered
+# so that p = 1 seldom suffices
+FAMILY_SPACES = st.one_of(
+    st.builds(example31, st.integers(1, 5)),
+    st.integers(1, 10).flatmap(lambda n: st.builds(doubling_not_weak, st.just(n),
+                                                  st.integers(2, 12 - n))),
+    st.builds(random_bmetric, st.integers(2, 12), st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
+              st.integers(0, 2**32 - 1)),
+    st.builds(snowflaked_grid, st.integers(2, 3), st.sampled_from([0.5, 1.0, 2.0, 3.0])),
+    st.builds(snowflake, st.builds(euclidean_points, st.integers(2, 12), st.integers(1, 3),
+                                   st.integers(0, 2**32 - 1)),
+              st.sampled_from([1.0, 2.0, 3.0])),
+)
+
+
+@given(st.one_of(FAMILY_SPACES, semimetric_spaces(max_n=12),
+                 semimetric_spaces(max_n=12, values=WIDE_FLOATS)),
+       st.sampled_from([0.05, 0.1, 0.5, 1.0, 2.0]))
+@settings(max_examples=80, deadline=None)
+def test_exponent_search_matches_bisection(space, eps):
+    rem, old = epsilon_remetrize(space, eps), bisection_remetrize(space, eps)
+    assert rem.p == old.p and rem.sandwich_hi == old.sandwich_hi
+    assert rem.D.tobytes() == old.D.tobytes()
+    assert len(rem.search_trace) <= len(old.search_trace) + 3
+    rejected = [p for p, hi in rem.search_trace if hi > 1.0 + eps]
+    assert rem.p == 1.0 or any(rem.p < p <= rem.p + P_RESOLUTION for p in rejected)
 
 
 @given(semimetric_spaces(max_n=8, values=DYADIC_RANGE),

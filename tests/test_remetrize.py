@@ -1,18 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 
 import bmetric.remetrize
+import oracles
 from bmetric import (
     chain_metric,
+    doubling_not_weak,
     epsilon_remetrize,
+    euclidean_points,
+    example31,
     frink_verify,
     polygonal_constant,
     random_bmetric,
+    snowflake,
+    snowflaked_grid,
 )
 from bmetric.certify import CertificateViolation
 from bmetric.remetrize import FrinkPreconditionError
 from conftest import path_graph_metric
-from oracles import minplus_closure
+from oracles import bisection_remetrize, minplus_closure
 
 
 def offdiag_mask(n):
@@ -156,6 +164,77 @@ class TestEpsilonRemetrize:
         rem = epsilon_remetrize(triple_114, 0.1)
         rejected = [p for p, c in rem.search_trace if c > 1.1]
         assert min(rejected) - rem.p <= 1e-3
+
+
+def chain_pipeline_input(index):
+    """The benchmark's chain-pipeline input `bmetric-a` (index 0) or
+    `bmetric-b` (index 1) at seed 0."""
+    return random_bmetric(300, 2.0, int(np.random.SeedSequence([0, index]).generate_state(1)[0]))
+
+
+NAMED_INPUTS = {
+    "rb300-K4": lambda: random_bmetric(300, 4.0, 1),
+    "rb100": lambda: random_bmetric(100, 2.0, 5),
+    "example31-50": lambda: example31(50),
+    "grid12": lambda: snowflaked_grid(12, 2.0),
+    "star": lambda: doubling_not_weak(40, 20),
+    "eu200-cubed": lambda: snowflake(euclidean_points(200, 2, 1), 3.0),
+    "eu100-squared": lambda: snowflake(euclidean_points(100, 2, 1), 2.0),
+    **{f"rb40-{k}": (lambda k=k: random_bmetric(40, 2.0 + 0.4 * k, k)) for k in range(6)},
+}
+
+
+class TestGridSearch:
+    """The interpolation search returns bisection's p, D and sandwich, in at
+    most 3 closures beyond bisection's count."""
+
+    @pytest.mark.parametrize("name", NAMED_INPUTS)
+    def test_matches_bisection_on_named_inputs(self, name):
+        s = NAMED_INPUTS[name]()
+        for eps in (0.5, 1.0, 0.1, 0.05, 2.0):
+            rem, old = epsilon_remetrize(s, eps), bisection_remetrize(s, eps)
+            assert (rem.p, rem.sandwich_hi) == (old.p, old.sandwich_hi), eps
+            assert rem.D.tobytes() == old.D.tobytes(), eps
+            assert len(rem.search_trace) <= len(old.search_trace) + 3, eps
+
+    @pytest.mark.parametrize("index", (0, 1))
+    def test_chain_pipeline_inputs_take_five_closures(self, index, monkeypatch):
+        s = chain_pipeline_input(index)
+        calls = []
+        closure = bmetric.remetrize.shortest_path_closure
+        monkeypatch.setattr(bmetric.remetrize, "shortest_path_closure",
+                            lambda d: calls.append(1) or closure(d))
+        for eps in (0.5, 1.0):
+            calls.clear()
+            rem, old = epsilon_remetrize(s, eps), bisection_remetrize(s, eps)
+            assert len(calls) == len(rem.search_trace) == 5, eps
+            assert len(old.search_trace) == 11
+            assert (rem.p, rem.D.tobytes(), rem.sandwich_hi) == \
+                (old.p, old.D.tobytes(), old.sandwich_hi)
+
+    @pytest.mark.parametrize("step", (513, 700, 1000, 1022))
+    def test_a_step_in_hi_costs_at_most_three_closures_more(self, step, monkeypatch):
+        # hi(p) jumps from 1 to 1e6 between grid points step and step + 1:
+        # regula falsi creeps toward the accepted end, and only the clamp
+        # holds it to bisection's 11 closures plus 3
+        def stepped(powered, D):
+            p = math.log2(powered[0, 1])  # the space has d(0, 1) = 2
+            return 1.0, (1.0 if p < (step + 0.5) * bmetric.remetrize._GRID else 1e6)
+
+        s = path_graph_metric(3).rescale(2.0)
+        monkeypatch.setattr(bmetric.remetrize, "ratio_range", stepped)
+        monkeypatch.setattr(oracles, "ratio_range", stepped)
+        rem, old = epsilon_remetrize(s, 0.5), bisection_remetrize(s, 0.5)
+        assert rem.p == old.p == step * bmetric.remetrize._GRID
+        assert len(old.search_trace) == 11 and len(rem.search_trace) <= 14
+
+    def test_probes_lie_on_the_grid_inside_the_bracket(self):
+        rem = epsilon_remetrize(example31(4), 0.05)
+        a, b = 0.25, 0.5  # the bracket the halving leaves
+        for p, hi in rem.search_trace[3:]:
+            assert a < p < b and (p / bmetric.remetrize._GRID).is_integer()
+            a, b = (p, b) if hi <= 1.05 else (a, p)
+        assert (a, b - a) == (rem.p, bmetric.remetrize._GRID)
 
 
 class TestSandwichCertificate:
