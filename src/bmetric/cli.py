@@ -145,7 +145,7 @@ def cmd_doubling(args) -> tuple[dict, dict]:
     space = _read_space(args.in_path)
     report: dict = {"doubling": doubling_constant(space, args.exact_max).to_dict()}
     if args.weak:
-        report["weak"] = weak_doubling_constant(space, args.exact_max).to_dict()
+        report["weak"] = weak_doubling_constant(space).to_dict()
     return {"exact_max": args.exact_max, "weak": args.weak}, report
 
 
@@ -183,8 +183,9 @@ def _converse(space, *, alpha=0.75):
 
 # Each claim of `verify --theorem` maps to a function of the space that returns
 # the report fields, "holds" among them.  Its keyword-only parameters, with
-# their defaults, are the only flags that claim reads.  The sandwich claims 2.2
-# and 4.3 hold once their remetrization exists, which certifies itself.
+# their defaults, are the only flags that claim reads, and the manifest
+# records each one's value.  The sandwich claims 2.2 and 4.3 hold once their
+# remetrization exists, which certifies itself.
 THEOREMS = {
     "2.1": lambda space: frink_verify(space).to_dict(),
     "2.2": _epsilon,
@@ -207,7 +208,8 @@ def cmd_verify(args) -> tuple[dict, dict]:
         report = check(space, **flags)
     except CertificateViolation as exc:
         report = {"holds": False, "detail": str(exc)}
-    return {"theorem": args.theorem}, {"theorem": args.theorem, **report}
+    params = {"theorem": args.theorem, **(check.__kwdefaults__ or {}), **flags}
+    return params, {"theorem": args.theorem, **report}
 
 
 @functools.cache
@@ -254,12 +256,12 @@ def build_parser() -> _Parser:
     db = sub.add_parser("doubling", help="doubling constant (and optionally the weak analog)")
     db.add_argument("in_path")
     db.add_argument("--exact-max", type=int, default=DOUBLING_EXACT_LIMIT,
-                    help="solve covers of target balls with at most this many points exactly; "
-                         "bracket larger ones")
+                    help="solve doubling covers of target balls with at most this many points "
+                         "exactly; bracket larger ones (--weak does not read it)")
     db.add_argument("--weak", action="store_true",
                     help="also the weak doubling constant: exact when the space has at most "
-                         f"min(--exact-max, {WEAK_EXACT_CAP}) points, otherwise a bracket from "
-                         "sampled subsets of at most that many points")
+                         f"{WEAK_EXACT_CAP} points, otherwise a bracket from sampled subsets of "
+                         f"at most {WEAK_EXACT_CAP} points")
     common(db)
     db.set_defaults(func=cmd_doubling)
 

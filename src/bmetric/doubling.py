@@ -27,7 +27,7 @@ from .setcover import exact_min_cover, greedy_cover, greedy_cover_batch
 from .spaces import SemimetricSpace, snowflake
 
 DOUBLING_EXACT_LIMIT = 15
-WEAK_EXACT_CAP = 20  # weak doubling is exact up to min(exact_limit, this) points
+WEAK_EXACT_CAP = 20  # exact weak doubling up to this many points; samples of at most as many above
 MAX_DOUBLING_DIAMETER = sys.float_info.max / 4  # no critical radius sum overflows below it
 BATCH_BYTES = 1 << 15  # packed half-radius traces of the cells bounded at once
 
@@ -304,14 +304,12 @@ def _half_diameter_cover(dist: np.ndarray) -> int:
     return exact_min_cover(everything, _maximal_cliques(adj, 0, everything))
 
 
-def weak_doubling_constant(
-    space: SemimetricSpace, exact_limit: int = DOUBLING_EXACT_LIMIT
-) -> WeakDoublingReport:
+def weak_doubling_constant(space: SemimetricSpace) -> WeakDoublingReport:
     """Worst-case minimum cover of a bounded set by sets of at most half its
     diameter.  Exact from the maximal cliques born at each distance when
-    n <= min(exact_limit, WEAK_EXACT_CAP) or n = 1, with witness the first
-    subset in integer order (label i is bit i) to reach the value; otherwise
-    a bracket from 200 random subsets of at most that many points (seed 0).
+    n <= WEAK_EXACT_CAP, with witness the first subset in integer order
+    (label i is bit i) to reach the value; otherwise a bracket from 200
+    random subsets of 2 to WEAK_EXACT_CAP points (seed 0).
 
     Graphs are keyed by level: level k is {d <= k-th smallest distance},
     edgeless at 0, each grown from the one below by the pairs at its
@@ -321,8 +319,7 @@ def weak_doubling_constant(
     report."""
     n = space.n
     d = space.dist
-    limit = min(exact_limit, WEAK_EXACT_CAP)
-    if n <= max(limit, 1):
+    if n <= WEAK_EXACT_CAP:
         # A set A of diameter s lies in a maximal clique C of {d <= s}; a cover
         # of C by sets of diameter <= s/2 covers A, and is no larger than C's
         # own cover since diam(C) <= s.  C is maximal at its own diameter too,
@@ -376,14 +373,13 @@ def weak_doubling_constant(
         labels = tuple(space.labels[i] for i in range(n) if wit >> i & 1)
         return WeakDoublingReport(best, best, True, labels)
 
-    # sampling bracket: exact covers of random subsets of at most limit points
-    # give a lower bound; n singletons cover any set, so n is an upper bound
-    if limit < 2:
-        raise ValueError(f"sampled weak doubling needs exact_limit >= 2, got {limit}")
+    # sampling bracket: exact covers of random subsets of at most
+    # WEAK_EXACT_CAP points give a lower bound; n singletons cover any set,
+    # so n is an upper bound
     rng = np.random.default_rng(0)
     lower, wit_bits = 1, [0]
     for _ in range(200):
-        k = int(rng.integers(2, limit + 1))
+        k = int(rng.integers(2, WEAK_EXACT_CAP + 1))
         bits = sorted(rng.choice(n, size=k, replace=False).tolist())
         size = _half_diameter_cover(d[np.ix_(bits, bits)])
         if size > lower:

@@ -23,6 +23,7 @@ from bmetric.certify import CertificateViolation
 from bmetric.schema import load_schema
 from bmetric.spaces import FAMILIES
 from cli_runner import EXIT_ONE_PREFIXES, run_cli
+from test_report_digests import INPUTS as DIGEST_INPUTS
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +221,7 @@ class TestExitCodes:
             (("constants", "nan.json"), 1),  # non-finite distances fail validation
             (("verify", "nan.json", "--theorem", "4.3"), 1),
             (("pipeline", "inf.json", "--alpha", "0.75"), 1),
-            (("doubling", "rb.json", "--weak", "--exact-max", "1"), 1),  # cannot sample subsets
+            (("doubling", "rb.json", "--weak", "--exact-max", "1"), 0),  # weak does not read it
             # a bound C^ceil(1/p) past the largest float
             (("verify", "rb.json", "--theorem", "3.3", "--p", "0.0001"), 1),
             (("verify", "rb.json", "--theorem", "3.3", "--p", "1e-320"), 1),
@@ -279,12 +280,14 @@ class TestExitCodes:
         r = run_cli("constants", "inf.json", cwd=workdir)
         assert r.stderr == "error: input is not a semimetric space (witness pair (0, 2))\n"
 
-    @pytest.mark.parametrize("limit", [1, 0, -3])
-    def test_weak_sampling_limit_is_named(self, workdir, capsys, limit):
-        argv = ["doubling", str(workdir / "rb.json"), "--weak", "--exact-max", str(limit)]
-        assert cli.main(argv) == 1
-        assert capsys.readouterr().err == (
-            f"error: sampled weak doubling needs exact_limit >= 2, got {limit}\n")
+    @pytest.mark.parametrize("name", sorted(DIGEST_INPUTS))
+    def test_weak_report_ignores_exact_max(self, tmp_path, capsys, name):
+        path = str(tmp_path / "space.json")
+        assert cli.main(["generate", *DIGEST_INPUTS[name], "--space-out", path, "--quiet"]) == 0
+        expected = json.loads(json.dumps(weak_doubling_constant(cli._read_space(path)).to_dict()))
+        for limit in (-3, 0, 1, 2, 6, 15, 40):
+            assert cli.main(["doubling", path, "--weak", "--exact-max", str(limit)]) == 0
+            assert json.loads(capsys.readouterr().out)["report"]["weak"] == expected, limit
 
     @pytest.mark.parametrize("space", [
         random_bmetric(13, 2.0, seed=3), random_bmetric(9, 2.0, seed=0), example31(8),
@@ -298,7 +301,10 @@ class TestExitCodes:
 
     def test_weak_help_names_its_exact_limit(self, capsys):
         assert cli.main(["doubling", "--help"]) == 0
-        assert "min(--exact-max, 20) points" in " ".join(capsys.readouterr().out.split())
+        text = " ".join(capsys.readouterr().out.split())
+        weak = text[text.index("--weak also"):]
+        assert "exact when the space has at most 20 points" in weak
+        assert "--exact-max" not in weak and "(--weak does not read it)" in text
 
     def test_verify_help_names_its_exact_limit(self, capsys):
         assert cli.main(["verify", "--help"]) == 0
@@ -314,6 +320,19 @@ class TestVerifyTable:
         choices = next(a.choices for a in verify._actions if a.dest == "theorem")
         digested = {argv[2] for argv in COMMANDS if argv[0] == "verify"}
         assert set(cli.THEOREMS) == set(choices) == digested
+
+    def test_manifest_records_every_flag_the_claim_reads(self, workdir, capsys):
+        def payload(*flags):
+            assert cli.main(["verify", str(workdir / "rb.json"), "--theorem", "3.3", *flags]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        default = payload()
+        assert default["manifest"]["parameters"] == {"theorem": "3.3", "p": 0.5, "exact_max": 15}
+        assert payload("--p", "0.5") == payload("--exact-max", "15") == default
+        assert payload("--p", "0.25")["manifest"]["parameters"] == \
+            {"theorem": "3.3", "p": 0.25, "exact_max": 15}
+        assert payload("--exact-max", "4")["manifest"]["parameters"] == \
+            {"theorem": "3.3", "p": 0.5, "exact_max": 4}
 
     def test_every_flag_is_read_by_some_claim(self):
         read = {name for check in cli.THEOREMS.values() for name in check.__kwdefaults__ or {}}

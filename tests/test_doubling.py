@@ -344,20 +344,23 @@ class TestWeakDoubling:
             doub = doubling_constant(s).value
             assert weak <= doub ** 2
 
-    def test_sampling_mode_brackets_exact_value(self):
-        for s, limit in (
+    def test_sampling_mode_brackets_exact_value(self, monkeypatch):
+        for s, cap in (
             (euclidean_points(9, 2, seed=10), 6),
             (random_bmetric(10, 2.0, seed=0), 3),  # sampled subsets of 3 points: lower 3, exact 5
         ):
-            exact = weak_doubling_constant(s, exact_limit=s.n).value
-            bracket = weak_doubling_constant(s, exact_limit=limit)
+            exact = weak_doubling_constant(s).value
+            with monkeypatch.context() as m:
+                m.setattr(doubling_mod, "WEAK_EXACT_CAP", cap)
+                bracket = weak_doubling_constant(s)
             assert not bracket.exact
             assert bracket.lower <= exact <= bracket.upper
 
-    def test_sampled_subsets_keep_points_past_bit_63(self):
+    def test_sampled_subsets_keep_points_past_bit_63(self, monkeypatch):
         # the witness holds points 70, 72 and 77; values of the earlier
         # bracket, which packed each sampled subset with np.packbits
-        rep = weak_doubling_constant(euclidean_points(80, 2, seed=3), exact_limit=8)
+        monkeypatch.setattr(doubling_mod, "WEAK_EXACT_CAP", 8)
+        rep = weak_doubling_constant(euclidean_points(80, 2, seed=3))
         assert (rep.lower, rep.upper, rep.exact) == (4, 80, False)
         assert rep.witness_set == ("p6", "p14", "p23", "p44", "p47", "p70", "p72", "p77")
 
@@ -371,14 +374,13 @@ class TestWeakDoubling:
         # value and witness: the first subset in integer order to reach it
         for seed in range(4):
             s = make(n, seed)
-            assert weak_doubling_constant(s, exact_limit=n).to_dict() == \
-                loop_weak_doubling_constant(s).to_dict()
+            assert weak_doubling_constant(s).to_dict() == loop_weak_doubling_constant(s).to_dict()
 
     @pytest.mark.parametrize("space", [
         snowflaked_grid(3, 0.5), doubling_not_weak(3, 4), doubling_not_weak(4, 3), example31(5),
     ], ids=["grid", "not-weak-3-4", "not-weak-4-3", "example31"])
     def test_structured_families_match_subset_loop(self, space):
-        assert weak_doubling_constant(space, exact_limit=space.n).to_dict() == \
+        assert weak_doubling_constant(space).to_dict() == \
             loop_weak_doubling_constant(space).to_dict()
 
     def test_clique_no_larger_than_best_can_hold_the_witness(self):
@@ -396,7 +398,7 @@ class TestWeakDoubling:
         # makes 14,992 covers on this input, a cover of every maximal clique
         # at every threshold 513
         covers = _count_calls(monkeypatch, "exact_min_cover")
-        assert weak_doubling_constant(euclidean_points(14, 2, seed=1), exact_limit=14).exact
+        assert weak_doubling_constant(euclidean_points(14, 2, seed=1)).exact
         assert covers["n"] <= 200
 
     def test_no_exact_cover_is_repeated(self, monkeypatch):
@@ -409,7 +411,7 @@ class TestWeakDoubling:
         for s in (euclidean_points(14, 2, seed=1), doubling_not_weak(7, 7), example31(6),
                   random_bmetric(12, 2.0, seed=3)):
             seen.clear()
-            assert weak_doubling_constant(s, exact_limit=s.n).exact
+            assert weak_doubling_constant(s).exact
             assert len(seen) == len(set(seen)), s.n
 
     def test_graphs_grow_and_covers_below_the_value_start_no_search(self, monkeypatch):
@@ -433,7 +435,7 @@ class TestWeakDoubling:
         sys.setprofile(hook)
         try:
             for s in spaces:
-                assert weak_doubling_constant(s, exact_limit=14).exact
+                assert weak_doubling_constant(s).exact
         finally:
             sys.setprofile(None)
         assert built["n"] == 0
@@ -443,7 +445,7 @@ class TestWeakDoubling:
         # the exact path lists the cliques of each half graph once (32 whole
         # graph lists on the first input) and those born at each distance by
         # one seeded run per pair (91 here, with no ties); only sampled sets
-        # list their own, never on more than min(exact_limit, 20) points
+        # list their own, never on more than WEAK_EXACT_CAP points
         whole, seeded = [], []
         cliques = doubling_mod._maximal_cliques
 
@@ -452,18 +454,19 @@ class TestWeakDoubling:
             return cliques(adj, r, p)
 
         monkeypatch.setattr(doubling_mod, "_maximal_cliques", counted)
-        assert weak_doubling_constant(euclidean_points(14, 2, seed=1), exact_limit=14).exact
+        assert weak_doubling_constant(euclidean_points(14, 2, seed=1)).exact
         assert len(whole) <= 40 and len(seeded) <= 91 and set(whole + seeded) == {14}
         whole.clear()
         seeded.clear()
-        assert not weak_doubling_constant(euclidean_points(80, 2, seed=3), exact_limit=8).exact
+        monkeypatch.setattr(doubling_mod, "WEAK_EXACT_CAP", 8)
+        assert not weak_doubling_constant(euclidean_points(80, 2, seed=3)).exact
         assert len(whole) == 200 and max(whole) <= 8 and not seeded
 
     def test_witness_is_decided_bit_by_bit(self, monkeypatch):
         # the walk over every mask made 75,004 exact covers here, a cover of
         # every maximal clique at every threshold 8,347
         covers = _count_calls(monkeypatch, "exact_min_cover")
-        rep = weak_doubling_constant(random_bmetric(20, 2.0, seed=3), exact_limit=20)
+        rep = weak_doubling_constant(random_bmetric(20, 2.0, seed=3))
         assert (rep.lower, rep.upper, rep.exact) == (6, 6, True)
         assert rep.witness_set == ("p1", "p4", "p5", "p12", "p13", "p18")
         assert covers["n"] <= 2_000
@@ -498,23 +501,21 @@ class TestWeakDoubling:
                 assert doubling_mod._half_diameter_cover(sub * 5e-324) == \
                     doubling_mod._half_diameter_cover(sub), bits
 
-    @pytest.mark.parametrize("exact_limit", [0, 1, 2, 15])
-    def test_one_point_is_exact_at_every_limit(self, exact_limit):
-        rep = weak_doubling_constant(SemimetricSpace(("a",), np.zeros((1, 1))), exact_limit)
+    @pytest.mark.parametrize("cap", [1, 2, 20])
+    def test_one_point_is_exact_at_every_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(doubling_mod, "WEAK_EXACT_CAP", cap)
+        rep = weak_doubling_constant(SemimetricSpace(("a",), np.zeros((1, 1))))
         assert (rep.lower, rep.upper, rep.exact, rep.witness_set) == (1, 1, True, ("a",))
 
-    def test_default_exact_limit_is_the_cli_default(self):
-        # 13 points: exact, as `doubling --weak` reports it; a limit of 12
-        # would give the sampled bracket [5, 13]
-        rep = weak_doubling_constant(random_bmetric(13, 2.0, seed=3))
-        assert (rep.lower, rep.upper, rep.exact) == (5, 5, True)
-        assert rep == weak_doubling_constant(random_bmetric(13, 2.0, seed=3), exact_limit=15)
-
-    def test_exact_limit_is_capped(self):
-        # 21 points: above the cap, so a limit of 30 samples like a limit of 20
-        capped = weak_doubling_constant(example31(10), exact_limit=20)
-        assert not capped.exact
-        assert weak_doubling_constant(example31(10), exact_limit=30) == capped
+    def test_point_count_alone_decides_exactness(self, monkeypatch):
+        # 21 points: one above the cap, so sampled; with the cap at 21 the
+        # same space is exactly 3
+        sampled = weak_doubling_constant(example31(10))
+        assert (sampled.upper, sampled.exact) == (21, False)
+        monkeypatch.setattr(doubling_mod, "WEAK_EXACT_CAP", 21)
+        exact = weak_doubling_constant(example31(10))
+        assert (exact.value, exact.exact) == (3, True)
+        assert sampled.lower <= exact.value
 
     def test_doubling_not_weak_family_grows(self):
         small = weak_doubling_constant(doubling_not_weak(2, 3)).value

@@ -411,4 +411,5 @@ class TestDoublingNeedsNoBallLists:
         doubling_constant(s)
         cover_requirement(s, 0, s.diameter())
         assert weak_doubling_constant(s).exact
-        assert not weak_doubling_constant(s, exact_limit=4).exact
+        monkeypatch.setattr(bmetric.doubling, "WEAK_EXACT_CAP", 4)
+        assert not weak_doubling_constant(s).exact

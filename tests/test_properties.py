@@ -174,8 +174,7 @@ def test_weak_doubling_matches_subset_loop(space):
 def test_weak_doubling_with_tied_new_edges_matches_subset_loop(space):
     # four integer distances give each threshold several new edges, whose
     # born cliques overlap and are listed once
-    assert weak_doubling_constant(space, exact_limit=space.n).to_dict() == \
-        loop_weak_doubling_constant(space).to_dict()
+    assert weak_doubling_constant(space).to_dict() == loop_weak_doubling_constant(space).to_dict()
 
 
 @given(st.sampled_from(["bmetric", "euclidean"]), st.integers(min_value=2, max_value=8),

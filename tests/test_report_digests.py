@@ -1,4 +1,4 @@
-"""Digests of every CLI subcommand's report on three small seeded inputs.
+"""Digests of every CLI subcommand's report on four small seeded inputs.
 
 Each case runs one command in-process and compares its exit code, stderr and
 report with the stored digest in ``report_digests.json``: values, witnesses
@@ -8,6 +8,9 @@ keeping every key).  A change meant to keep reports byte-identical leaves the
 file as it is; a change meant to alter a report regenerates it with
 
     PYTHONPATH=src python tests/test_report_digests.py
+
+which first prints each changed value as (input, command, key path): stored
+→ new, and each added or removed case.
 """
 
 import io
@@ -29,6 +32,7 @@ INPUTS = {
     "rb12": ("--family", "random-bmetric", "--n", "12", "--K", "2", "--seed", "1"),
     "ex31-4": ("--family", "example31", "--n", "4"),
     "euc10": ("--family", "euclidean-points", "--n", "10", "--dim", "2", "--seed", "2"),
+    "rb24": ("--family", "random-bmetric", "--n", "24", "--K", "2", "--seed", "2"),
 }
 COMMANDS = (
     ("constants",),
@@ -36,8 +40,8 @@ COMMANDS = (
     ("remetrize", "--eps", "0.5"),
     ("remetrize", "--eps", "0.05"),
     ("doubling",),
-    ("doubling", "--weak"),
-    ("doubling", "--weak", "--exact-max", "6"),  # sampled weak bracket
+    ("doubling", "--weak"),  # sampled weak bracket above 20 points (rb24)
+    ("doubling", "--weak", "--exact-max", "6"),  # the same weak report: it ignores --exact-max
     ("doubling", "--exact-max", "4"),  # greedy and counting bracket cells
     ("embed", "--alpha", "0.5"),
     ("pipeline", "--alpha", "0.75"),
@@ -62,21 +66,19 @@ def digest(value):
     return value
 
 
-def differences(expected, actual, path="") -> list[str]:
-    if isinstance(expected, dict) and isinstance(actual, dict):
-        if expected.keys() != actual.keys():
-            return [f"{path}: keys {sorted(actual)} != {sorted(expected)}"]
+def differences(expected, actual, path="") -> list[tuple]:
+    """(key path, stored, new) of each value that differs: a dict with other
+    keys, or a list of another length, differs as a whole."""
+    if isinstance(expected, dict) and isinstance(actual, dict) and expected.keys() == actual.keys():
         return [p for k in expected for p in differences(expected[k], actual[k], f"{path}.{k}")]
-    if isinstance(expected, list) and isinstance(actual, list):
-        if len(expected) != len(actual):
-            return [f"{path}: length {len(actual)} != {len(expected)}"]
+    if isinstance(expected, list) and isinstance(actual, list) and len(expected) == len(actual):
         return [p for i, (e, a) in enumerate(zip(expected, actual))
                 for p in differences(e, a, f"{path}[{i}]")]
     if type(expected) is float and type(actual) is float:
         ok = math.isclose(expected, actual, rel_tol=REL_TOL, abs_tol=0.0)
     else:
         ok = type(expected) is type(actual) and expected == actual
-    return [] if ok else [f"{path}: {actual!r} != stored {expected!r}"]
+    return [] if ok else [(path, expected, actual)]
 
 
 def run(argv: list[str], out: Path) -> dict:
@@ -132,5 +134,14 @@ if __name__ == "__main__":
         table: dict = {}
         for command, name in CASES:
             table.setdefault(name, {})[command] = run_case(command, name, Path(tmp))
+    old = json.loads(DIGESTS.read_text())
+    for name in sorted(old.keys() | table.keys()):
+        before, after = old.get(name, {}), table.get(name, {})
+        for command in sorted(before.keys() | after.keys()):
+            if command not in before or command not in after:
+                print(f"{'removed' if command in before else 'added'} ({name}, {command})")
+                continue
+            for path, was, now in differences(before[command], after[command]):
+                print(f"({name}, {command}, {path}): {was!r} → {now!r}")
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(CASES)} digests to {DIGESTS}", file=sys.stderr)

@@ -164,7 +164,7 @@ def test_weak_doubling_search_stays_small(monkeypatch):
     # test) made 174,149 search nodes with the counting bound alone
     monkeypatch.setattr(doubling_mod, "WEAK_EXACT_CAP", 24)
     rep, nodes = _search_nodes(doubling_mod.weak_doubling_constant,
-                               random_bmetric(24, 2.0, seed=0), 24)
+                               random_bmetric(24, 2.0, seed=0))
     assert (rep.lower, rep.upper, rep.exact) == (7, 7, True)
     assert nodes <= 60_000
 
