@@ -61,7 +61,7 @@ def _manifest(args, command: str, parameters: dict) -> dict:
         "command": command,
         "input": getattr(args, "in_path", None),
         "parameters": parameters,
-        "seed": getattr(args, "seed", None),
+        "seed": parameters.get("seed"),
         "version": __version__,
         "out": getattr(args, "out", None),
     }
@@ -116,10 +116,12 @@ GENERATE_FLAGS = ("n", "m", "K", "k", "p", "dim", "seed")
 def cmd_generate(args) -> tuple[dict, dict]:
     make = FAMILIES[args.family]
     reads = inspect.signature(make).parameters
-    params = _read_flags(args, "family", GENERATE_FLAGS, reads)
-    for name, param in reads.items():
-        if param.default is param.empty and name not in params:
-            raise ValueError(f"family {args.family!r} is missing parameter {name!r}")
+    # the defaults the family uses are recorded too: equal runs pin equal manifests
+    params = {name: param.default for name, param in reads.items()}
+    params |= _read_flags(args, "family", GENERATE_FLAGS, reads)
+    missing = [name for name, value in params.items() if value is inspect.Parameter.empty]
+    if missing:
+        raise ValueError(f"family {args.family!r} is missing parameter {missing[0]!r}")
     space = make(**params)
     _write_space(space, args.space_out)
     return params, {"points": space.n, "family": args.family}

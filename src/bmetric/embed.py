@@ -138,24 +138,27 @@ def _checked_norms(coords: np.ndarray) -> np.ndarray:
 
 
 def _net(d: np.ndarray, r: float) -> list[int]:
-    """Maximal r-separated subset, scanning points in index order."""
+    """Maximal r-separated subset, scanning points in index order: a point
+    joins while d[i, z] >= r for every net point z before it."""
     net: list[int] = []
+    free, far = np.ones(d.shape[0], dtype=bool), np.empty(d.shape[0], dtype=bool)
     for i in range(d.shape[0]):
-        if all(d[i, z] >= r for z in net):
+        if free[i]:
             net.append(i)
+            free &= np.greater_equal(d[:, i], r, out=far)
     return net
 
 
 def _coloring(d: np.ndarray, net: list[int], radius: float) -> dict[int, int]:
-    """Greedy coloring of net points, conflicting below the given radius."""
-    colors: dict[int, int] = {}
-    for u in net:
-        used = {colors[v] for v in colors if d[u, v] < radius}
-        c = 0
-        while c in used:
-            c += 1
-        colors[u] = c
-    return colors
+    """Greedy coloring of net points in order, each taking the least color
+    that no earlier net point closer than the given radius has."""
+    points = np.array(net, dtype=np.intp)
+    colors = np.zeros(len(net), dtype=np.intp)
+    for t, u in enumerate(net):
+        used = np.zeros(t + 1, dtype=bool)
+        used[colors[:t][d[u, points[:t]] < radius]] = True
+        colors[t] = np.argmin(used)
+    return dict(zip(net, colors.tolist()))
 
 
 def bilipschitz_ratios(norms: np.ndarray, dist: np.ndarray, alpha: float) -> tuple[float, float]:

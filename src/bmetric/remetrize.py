@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import CertificateViolation, ratio_range, sandwich_violation, within
+from .certify import RTOL, CertificateViolation, ratio_range, sandwich_violation, within
 from .constants import relaxation_constant
 from .schema import Report
 from .shortest_path import shortest_path_closure
@@ -104,19 +104,56 @@ def frink_verify(space: SemimetricSpace) -> FrinkCertificate:
     return FrinkCertificate(relaxation_K=K, worst_ratio=rem.sandwich_hi, bound=bound, holds=holds)
 
 
+def _chain_crossing(dist, powered, D, a, b, target) -> tuple[int, float] | None:
+    """The first grid point c in (a, b) where one chain proves hi(c) > target,
+    with the chain's ratio there; or None.  The chain is for the pair (i, j)
+    with the largest d^p / D, walked back from j: each step takes the k != v
+    that minimizes D[i, k] + d^p[k, v].  Any vertex sequence from i to j is
+    a chain, so the walk stops after n steps and closes with i.  D_q(i, j)
+    is at most any chain's cost: d_ij^q / sum_e d_e^q is a lower bound on
+    hi(q) at every q."""
+    with np.errstate(invalid="ignore"):  # the diagonal's 0 / 0
+        ratios = powered / D
+    np.fill_diagonal(ratios, 0.0)
+    i, v = divmod(int(np.argmax(ratios)), len(D))
+    walk = [v]
+    while v != i and len(walk) <= len(D):
+        via = D[i] + powered[v]
+        via[v] = np.inf
+        v = int(np.argmin(via))
+        walk.append(v)
+    if v != i:
+        walk.append(i)
+    q = np.arange(a + 1, b) * _GRID
+    edges = dist[walk[:-1], walk[1:]]
+    bound = dist[i, walk[0]] ** q / (edges[:, None] ** q).sum(axis=0)
+    above = np.flatnonzero(bound > target * (1.0 + RTOL))
+    return (a + 1 + int(above[0]), float(bound[above[0]])) if above.size else None
+
+
 def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
     """Find p in (0, 1] whose chain metric sandwiches d^p within 1 + epsilon.
 
-    Strategy: halve p from 1 until the certificate holds.  The bracket
-    [accepted p, rejected p] then spans a power of two, and bisecting it to
-    within P_RESOLUTION would probe only multiples of _GRID, the largest
-    power of two at most P_RESOLUTION.  The search probes that grid too, by
-    Illinois regula falsi on log hi(p) - log(1 + epsilon), rounded to a grid
-    point strictly inside the bracket.  Each probe is clamped so that
-    bisection could still finish in the probes left, and bisection's count
-    plus 3 are allowed: so no search makes more than 3 closures beyond
-    bisection's.  It stops when the bracket is one grid step wide, and
-    returns its accepted end.  search_trace lists the probes made, in order.
+    The search keeps a bracket [a, b] on the grid of multiples of _GRID
+    that bisection from p = 1 ends on: a accepted (0 before any is), b
+    rejected.  A closure decides each probe, and a rejected one gives a
+    chain for its worst pair (_chain_crossing).  Where that chain's ratio
+    exceeds (1 + epsilon)(1 + RTOL) inside the bracket, b moves there
+    without a closure and the next probe is b - 1.  Otherwise the probe
+    halves b until a point is accepted, then comes from Illinois regula
+    falsi on log hi(p) - log(1 + epsilon).  Each probe is clamped so that
+    bisection could still finish in the probes left, plus 3: no search
+    makes more than 3 closures beyond bisection's.  The accepted end of the
+    final one-step bracket is returned; if grid point 1 is rejected, the
+    search halves below the grid as bisection does.  search_trace lists
+    every probe in order: (p, hi), or (p, chain ratio) for a chain rejection.
+
+    A chain rejection is sound: the closure's D_ij is at most its own float
+    evaluation of the chain (rounded addition and minimum are monotone);
+    that and the sum here are each within (L - 1) ulps of the L powered
+    edges' sum, and each power is within a few ulps.  So a chain ratio
+    above (1 + epsilon)(1 + 1e-9) means the closure rejects too.  Inside
+    that margin, the closure decides.
 
     The result is bisection's, bit for bit: hi(p) never decreases as p grows
     (a chain whose edges are all shorter than d_ij has ratio
@@ -134,51 +171,53 @@ def epsilon_remetrize(space: SemimetricSpace, epsilon: float) -> Remetrization:
     target = 1.0 + epsilon
     trace: list[tuple[float, float]] = []
 
-    def evaluate(p: float) -> tuple[np.ndarray, np.ndarray, float] | None:
-        """(d^p, D, hi) when hi meets the target; None drops a rejected p's arrays."""
+    def evaluate(p: float) -> tuple[np.ndarray, np.ndarray, float]:
         powered = space.dist ** p
         D = shortest_path_closure(powered)
         hi = ratio_range(powered, D)[1]
         trace.append((p, hi))
-        return (powered, D, hi) if hi <= target else None
-
-    p_bad = best_p = 1.0
-    while True:
-        best = evaluate(best_p)
-        if best:
-            break
-        p_bad = best_p
-        best_p /= 2.0
-        if best_p < 1e-12:
-            raise RuntimeError("snowflake exponent search failed to certify")
-    if p_bad - best_p <= P_RESOLUTION:
-        return _certified(best_p, epsilon, *best, trace)
+        return powered, D, hi
 
     def excess(hi: float) -> float:
         return math.log(hi) - math.log(target)
 
-    # grid units: a is accepted, b rejected, and b - a is a power of two;
-    # the halving's last two probes were b and then a
-    a, b = round(best_p / _GRID), round(p_bad / _GRID)
-    fa, fb = excess(best[2]), excess(trace[-2][1])
-    budget = (b - a).bit_length() + 2  # bisection's log2(b - a) probes, plus 3
-    moved = 0  # +1 when the last probe moved a, -1 when it moved b
-    while b - a > 1:
+    a, b, fa, fb = 0, round(1.0 / _GRID), 0.0, 0.0  # grid units; the first probe is p = 1
+    budget = b.bit_length() + 2  # bisection's 10 probes after p = 1, plus 3
+    m, falsi, moved = b, 0, 0  # moved: +1 when the last falsi probe moved a, -1 when b
+    while True:
+        res, crossing = evaluate(m * _GRID), None
+        if res[2] <= target:
+            a, fa, best = m, excess(res[2]), res
+            fb /= 2.0 if moved > 0 else 1.0  # Illinois: an end kept twice has its value halved
+            moved = falsi
+        else:
+            b, fb = m, excess(res[2])
+            fa /= 2.0 if moved < 0 else 1.0
+            moved = -falsi
+            powered, D, _ = res
+            del res
+            crossing = _chain_crossing(space.dist, powered, D, a, b, target)
+            del powered, D  # a rejected probe's arrays go before the next closure
+            if crossing:
+                b, fb = crossing[0], excess(crossing[1])
+                trace.append((b * _GRID, crossing[1]))
+        if b - a <= 1:
+            break
         budget -= 1
-        # fa < fb fails only on a NaN hi, or where log rounds both ends alike
-        x = a + (b - a) * fa / (fa - fb) if fa < fb else (a + b) / 2
+        falsi = int(bool(a) and not crossing)
+        if falsi:  # fa < fb fails only on a NaN hi, or where log rounds both ends alike
+            x = a + (b - a) * fa / (fa - fb) if fa < fb else (a + b) / 2
+        else:  # below a chain's crossing, or halving while no point is accepted
+            x = b - 1 if crossing else b / 2
         # whichever way the probe goes, b - a <= 2^budget after it
         m = min(max(math.floor(x + 0.5), a + 1, b - (1 << budget)), b - 1, a + (1 << budget))
-        res = evaluate(m * _GRID)
-        f = excess(trace[-1][1])
-        if res:
-            a, fa, best = m, f, res
-            if moved > 0:  # Illinois: an end kept twice has its value halved
-                fb /= 2.0
-            moved = 1
-        else:
-            b, fb = m, f
-            if moved < 0:
-                fa /= 2.0
-            moved = -1
-    return _certified(a * _GRID, epsilon, *best, trace)
+    if a:
+        return _certified(a * _GRID, epsilon, *best, trace)
+    p = _GRID
+    while True:  # grid point 1 is rejected: halve below the grid
+        p /= 2.0
+        if p < 1e-12:
+            raise RuntimeError("snowflake exponent search failed to certify")
+        best = evaluate(p)
+        if best[2] <= target:
+            return _certified(p, epsilon, *best, trace)

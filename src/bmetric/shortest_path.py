@@ -68,13 +68,16 @@ def floyd_warshall(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     D = np.array(dist, dtype=float)
     n = D.shape[0]
-    pred = np.broadcast_to(np.arange(n)[:, None], (n, n)).copy()
+    pred = np.broadcast_to(np.arange(n, dtype=np.int32)[:, None], (n, n)).copy()
+    better = np.empty((n, n), dtype=bool)
+    row = np.empty(n, dtype=np.int32)
     for k, via in enumerate(_pivot_sums(D)):
-        better = via < D
-        if better.any():
+        np.less(via, D, out=better)
+        if better.any():  # no pivot improves a metric's closure
             np.copyto(D, via, where=better)
             # a view of row k overlaps pred, so numpy would copy all of pred
-            np.copyto(pred, pred[k].copy(), where=better)
+            np.copyto(row, pred[k])
+            np.copyto(pred, row, where=better)
     return D, pred
 
 

@@ -34,6 +34,19 @@ def inflated_closure(monkeypatch):
 
 
 @pytest.fixture
+def closure_calls(monkeypatch):
+    """A list that gains one entry per shortest_path_closure call made
+    through bmetric.remetrize; clear it to restart the count."""
+    import bmetric.remetrize
+
+    calls = []
+    closure = bmetric.remetrize.shortest_path_closure
+    monkeypatch.setattr(bmetric.remetrize, "shortest_path_closure",
+                        lambda d: calls.append(1) or closure(d))
+    return calls
+
+
+@pytest.fixture
 def uniform6():
     return SemimetricSpace(tuple("abcdef"), np.ones((6, 6)) - np.eye(6))
 

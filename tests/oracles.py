@@ -13,7 +13,8 @@ the same.  ``loop_example31`` and ``loop_doubling_not_weak`` are the
 library's earlier pair-loop generators, kept to check that the array ones
 build the same matrices.  ``broadcast_closure`` and
 ``slab_max_triple_ratio`` are the library's earlier closure and triple-scan
-kernels, and ``bisection_remetrize`` is the library's earlier snowflake
+kernels, ``loop_net`` and ``loop_coloring`` its earlier net and coloring
+loops, and ``bisection_remetrize`` is the library's earlier snowflake
 exponent search.
 """
 
@@ -465,6 +466,29 @@ def loop_doubling_not_weak(n, m):
         for b in range(m):
             d[ai, b] = d[b, ai] = 1.0 / i
     return tuple(star_labels + nat_labels), d
+
+
+def loop_net(d, r):
+    """The library's earlier greedy net: a point joins, in index order, when
+    it is at least r from every net point so far."""
+    net = []
+    for i in range(d.shape[0]):
+        if all(d[i, z] >= r for z in net):
+            net.append(i)
+    return net
+
+
+def loop_coloring(d, net, radius):
+    """The library's earlier greedy net coloring: each net point, in order,
+    takes the least color unused by earlier ones closer than radius."""
+    colors = {}
+    for u in net:
+        used = {colors[v] for v in colors if d[u, v] < radius}
+        c = 0
+        while c in used:
+            c += 1
+        colors[u] = c
+    return colors
 
 
 def bisection_remetrize(space, epsilon):

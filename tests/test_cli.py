@@ -198,6 +198,21 @@ class TestReports:
                     "--seed", "42", "--space-out", str(p), "--quiet")
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_generate_manifest_records_the_family_defaults(self, tmp_path, capsys):
+        def manifest(*flags):
+            out = str(tmp_path / "space.json")
+            assert cli.main(["generate", *flags, "--space-out", out]) == 0
+            return json.loads(capsys.readouterr().out)["manifest"]
+
+        default = manifest("--family", "random-bmetric", "--n", "5", "--K", "2")
+        assert default == manifest("--family", "random-bmetric", "--n", "5", "--K", "2",
+                                   "--seed", "0")
+        assert default["parameters"] == {"n": 5, "K": 2.0, "seed": 0} and default["seed"] == 0
+        euclidean = manifest("--family", "euclidean-points", "--n", "4")
+        assert euclidean["parameters"] == {"n": 4, "dim": 2, "seed": 0}
+        assert manifest("--family", "snowflaked-grid", "--k", "3")["parameters"] == \
+            {"k": 3, "p": 1.0}
+
     def test_out_flag_writes_file(self, workdir):
         out = workdir / "report.json"
         r = run_cli("constants", "ex31.json", "--out", str(out), "--quiet", cwd=workdir)

@@ -5,19 +5,22 @@ import numpy as np
 import pytest
 
 import bmetric.embed
-import bmetric.remetrize
 from bmetric import (
     SemimetricSpace,
     assouad_embed,
     bmetric_assouad_pipeline,
     converse_bound,
     chain_metric,
+    doubling_not_weak,
     euclidean_points,
+    example31,
     random_bmetric,
     snowflaked_grid,
 )
 from bmetric.certify import RTOL, CertificateViolation
 from bmetric.embed import (
+    CONFLICT_FACTOR,
+    TAU,
     DegenerateEmbeddingError,
     NonMetricError,
     _certify,
@@ -25,7 +28,9 @@ from bmetric.embed import (
     _coloring,
     _net,
 )
+from bmetric.spaces import FAMILIES
 from conftest import path_graph_metric
+from oracles import loop_coloring, loop_net
 
 
 class TestGreedyNet:
@@ -74,6 +79,30 @@ class TestConflictColoring:
             for b in net:
                 if a != b and colors[a] == colors[b]:
                     assert s.dist[a, b] >= radius
+
+
+FAMILY_INPUTS = {
+    "example31": lambda: example31(12),
+    "doubling-not-weak": lambda: doubling_not_weak(8, 6),
+    "random-bmetric": lambda: random_bmetric(40, 2.0, seed=3),
+    "snowflaked-grid": lambda: snowflaked_grid(5, 2.0),
+    "euclidean-points": lambda: euclidean_points(60, 2, seed=1),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_net_and_coloring_match_the_loops_at_every_scale(family):
+    space = FAMILY_INPUTS[family]()
+    d, lt = space.dist, math.log(TAU)
+    scales = range(math.floor(math.log(space.diameter()) / lt),
+                   math.ceil(math.log(space.min_distance()) / lt) + 1)
+    assert len(scales) > 1
+    for j in scales:
+        r = TAU ** j
+        net = _net(d, r)
+        assert net == loop_net(d, r), j
+        colors = _coloring(d, net, CONFLICT_FACTOR * r)
+        assert list(colors.items()) == list(loop_coloring(d, net, CONFLICT_FACTOR * r).items())
 
 
 class TestAssouadEmbed:
@@ -184,14 +213,10 @@ class TestPipeline:
         assert rem.sandwich_hi <= 2.0
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
-    def test_alpha_is_checked_before_the_remetrization(self, monkeypatch, alpha):
-        calls = []
-        closure = bmetric.remetrize.shortest_path_closure
-        monkeypatch.setattr(bmetric.remetrize, "shortest_path_closure",
-                            lambda d: calls.append(1) or closure(d))
+    def test_alpha_is_checked_before_the_remetrization(self, closure_calls, alpha):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             bmetric_assouad_pipeline(random_bmetric(12, 2.0, seed=1), alpha)
-        assert calls == []
+        assert closure_calls == []
 
     def test_only_assouad_embed_checks_the_metric(self, monkeypatch):
         # the pipeline's stage 2 embeds a shortest-path closure, a metric by

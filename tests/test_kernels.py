@@ -131,7 +131,8 @@ class TestClosure:
         # remetrize job and 1.0 the pipeline's
         seed = int(np.random.SeedSequence([0, 0]).generate_state(1)[0])
         s = random_bmetric(300, 2.0, seed)
-        # the exponents both searches probe: bisection's 11 and the grid search's 5
+        # the exponents both searches probe: bisection's 11, and the grid search's
+        # 2 closures and the chain rejection between them
         probes = {p for rem in (epsilon_remetrize(s, eps), bisection_remetrize(s, eps))
                   for p, _hi in rem.search_trace}
         for p in sorted(probes):

@@ -4,7 +4,7 @@ import contextlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bmetric import (
@@ -26,7 +26,7 @@ from bmetric import (
     validate,
     weak_doubling_constant,
 )
-from bmetric.certify import within
+from bmetric.certify import ratio_range, within
 from bmetric.doubling import cover_requirement
 from bmetric.embed import DegenerateEmbeddingError
 from bmetric.remetrize import P_RESOLUTION
@@ -304,6 +304,24 @@ def test_exponent_search_matches_bisection(space, eps):
     assert len(rem.search_trace) <= len(old.search_trace) + 3
     rejected = [p for p, hi in rem.search_trace if hi > 1.0 + eps]
     assert rem.p == 1.0 or any(rem.p < p <= rem.p + P_RESOLUTION for p in rejected)
+
+
+@given(st.one_of(FAMILY_SPACES, semimetric_spaces(max_n=12),
+                 semimetric_spaces(max_n=12, values=WIDE_FLOATS)),
+       st.sampled_from([0.05, 0.1, 0.5, 1.0, 2.0]))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_chain_rejections_are_closure_rejections(closure_calls, space, eps):
+    # a trace entry is a closure's own hi, or a chain's lower bound on it that
+    # rejects p; either way the closure at p, computed here, rejects as it does
+    closure_calls.clear()
+    rem = epsilon_remetrize(space, eps)
+    closures = len(closure_calls)
+    for p, c in rem.search_trace:
+        powered = space.dist ** p
+        hi = ratio_range(powered, shortest_path_closure(powered))[1]
+        assert within(c, hi) and (c > 1.0 + eps) == (hi > 1.0 + eps), p
+    assert closures <= len(bisection_remetrize(space, eps).search_trace) + 3
 
 
 @given(semimetric_spaces(max_n=8, values=DYADIC_RANGE),

@@ -6,6 +6,7 @@ import pytest
 import bmetric.remetrize
 import oracles
 from bmetric import (
+    SemimetricSpace,
     chain_metric,
     doubling_not_weak,
     epsilon_remetrize,
@@ -198,16 +199,14 @@ class TestGridSearch:
             assert len(rem.search_trace) <= len(old.search_trace) + 3, eps
 
     @pytest.mark.parametrize("index", (0, 1))
-    def test_chain_pipeline_inputs_take_five_closures(self, index, monkeypatch):
+    def test_chain_pipeline_inputs_take_two_closures(self, index, closure_calls):
+        # p = 1 is rejected, its worst pair's chain rejects the grid from some
+        # point c up, and the closure at c - 1 is accepted
         s = chain_pipeline_input(index)
-        calls = []
-        closure = bmetric.remetrize.shortest_path_closure
-        monkeypatch.setattr(bmetric.remetrize, "shortest_path_closure",
-                            lambda d: calls.append(1) or closure(d))
         for eps in (0.5, 1.0):
-            calls.clear()
+            closure_calls.clear()
             rem, old = epsilon_remetrize(s, eps), bisection_remetrize(s, eps)
-            assert len(calls) == len(rem.search_trace) == 5, eps
+            assert len(closure_calls) == 2 and len(rem.search_trace) == 3, eps
             assert len(old.search_trace) == 11
             assert (rem.p, rem.D.tobytes(), rem.sandwich_hi) == \
                 (old.p, old.D.tobytes(), old.sandwich_hi)
@@ -228,13 +227,28 @@ class TestGridSearch:
         assert rem.p == old.p == step * bmetric.remetrize._GRID
         assert len(old.search_trace) == 11 and len(rem.search_trace) <= 14
 
-    def test_probes_lie_on_the_grid_inside_the_bracket(self):
-        rem = epsilon_remetrize(example31(4), 0.05)
-        a, b = 0.25, 0.5  # the bracket the halving leaves
-        for p, hi in rem.search_trace[3:]:
-            assert a < p < b and (p / bmetric.remetrize._GRID).is_integer()
-            a, b = (p, b) if hi <= 1.05 else (a, p)
-        assert (a, b - a) == (rem.p, bmetric.remetrize._GRID)
+    @pytest.mark.parametrize("name", NAMED_INPUTS)
+    def test_final_bracket_is_one_grid_step(self, name):
+        s = NAMED_INPUTS[name]()
+        for eps in (0.05, 0.5, 2.0):
+            rem = epsilon_remetrize(s, eps)
+            if rem.p == 1.0:
+                continue
+            assert all((p / bmetric.remetrize._GRID).is_integer() for p, _ in rem.search_trace)
+            accepted = max(p for p, hi in rem.search_trace if hi <= 1.0 + eps)
+            rejected = min(p for p, hi in rem.search_trace if hi > 1.0 + eps)
+            assert (accepted, rejected - accepted) == (rem.p, bmetric.remetrize._GRID), eps
+
+    def test_below_the_grid_halves_as_bisection_does(self, closure_calls):
+        # hi(p) is (3e308)^p / 2 while that is above 1: 1.00047 at p = 2^-10,
+        # so the grid is all rejected at eps 1e-4, and p = 2^-11 meets it
+        s = SemimetricSpace(("a", "b", "c"), np.array([[0, 1e-154, 3e154],
+                                                       [1e-154, 0, 1e-154],
+                                                       [3e154, 1e-154, 0]]))
+        rem, old = epsilon_remetrize(s, 1e-4), bisection_remetrize(s, 1e-4)
+        assert rem.p == old.p == bmetric.remetrize._GRID / 2
+        assert (rem.D.tobytes(), rem.sandwich_hi) == (old.D.tobytes(), old.sandwich_hi)
+        assert len(closure_calls) <= len(old.search_trace) + 3
 
 
 class TestSandwichCertificate:
